@@ -51,9 +51,7 @@ use jafar_core::ResilienceConfig;
 use jafar_dram::{DramGeometry, FaultPlan};
 use jafar_serve::engine::ServeConfig;
 use jafar_serve::workload::q6_shipdate_column;
-use jafar_serve::{
-    AggFn, ExecMode, FilterPool, PredicateMix, QueryOp, QueryRecord, SchedPolicy, Workload,
-};
+use jafar_serve::{AggFn, ExecMode, PredicateMix, QueryOp, QueryRecord, SchedPolicy, Workload};
 use jafar_sim::{ServeCluster, System, SystemConfig};
 use jafar_tpch::gen::{TpchConfig, TpchDb};
 use std::collections::BTreeMap;

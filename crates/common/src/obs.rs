@@ -201,10 +201,9 @@ pub enum EventKind {
     },
     /// A serving filter unit moved through its health state machine.
     RankHealth {
-        /// Pool unit id of the unit whose health changed — on a
-        /// single-DIMM pool this equals the rank index; on a wider
-        /// channels × ranks pool it is the channel-major unit id (the
-        /// serving engine's `FilterPool` numbering).
+        /// Pool unit id of the unit whose health changed: the serving
+        /// engine's channel-major `channel · ranks_per_channel + rank`,
+        /// so on a one-channel pool it equals the rank index.
         rank: u32,
         /// New state (`"suspect"`, `"quarantined"`, `"probing"`,
         /// `"healthy"`).

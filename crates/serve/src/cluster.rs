@@ -859,97 +859,25 @@ pub fn run_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::SingleDimmPool;
+    use crate::rig::{wide_rig, WideRig, ROWS};
     use crate::workload::{PredicateMix, QuerySpec};
-    use jafar_common::rng::SplitMix64;
-    use jafar_core::device::JafarDevice;
-    use jafar_core::driver::{ResilienceConfig, ResilientDriver};
-    use jafar_dram::{
-        AddressMapping, DramGeometry, DramModule, DramTiming, FaultInjector, FaultPlan, PhysAddr,
-    };
+    use jafar_dram::{FaultInjector, FaultPlan};
 
-    const ROWS: u64 = 2048;
-
-    /// One memory node's machine, same layout as the engine tests' rig.
-    struct NodeRig {
-        module: DramModule,
-        devices: Vec<JafarDevice>,
-        drivers: Vec<ResilientDriver>,
-        replicas: Vec<PhysAddr>,
-        outs: Vec<PhysAddr>,
-        proj_outs: Vec<PhysAddr>,
-        stage_outs: Vec<PhysAddr>,
-    }
-
+    /// N single-channel memory nodes, each the engine tests' rig over
+    /// the same seeded column.
     struct ClusterRig {
-        nodes: Vec<NodeRig>,
-        pools: Vec<SingleDimmPool>,
+        nodes: Vec<WideRig>,
         values: Vec<i64>,
-        keys: Vec<i64>,
         tracer: SharedTracer,
     }
 
     fn cluster_rig(nodes: usize, ranks_per_node: u32, seed: u64) -> ClusterRig {
-        let mut rng = SplitMix64::new(seed);
-        let values: Vec<i64> = (0..ROWS)
-            .map(|_| rng.next_range_inclusive(0, 999))
-            .collect();
-        let mut krng = SplitMix64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-        let keys: Vec<i64> = (0..ROWS)
-            .map(|_| krng.next_range_inclusive(0, 15))
-            .collect();
-        let geom = DramGeometry {
-            ranks: ranks_per_node,
-            banks_per_rank: 4,
-            rows_per_bank: 64,
-            row_bytes: 1024,
-        };
-        let rank_bytes = geom.rank_bytes();
-        let nodes = (0..nodes)
-            .map(|_| {
-                let mut module = DramModule::new(
-                    geom,
-                    DramTiming::ddr3_paper().without_refresh(),
-                    AddressMapping::RankRowBankBlock,
-                );
-                let mut replicas = Vec::new();
-                let mut outs = Vec::new();
-                let mut proj_outs = Vec::new();
-                let mut stage_outs = Vec::new();
-                for r in 0..ranks_per_node as u64 {
-                    let col = PhysAddr(r * rank_bytes);
-                    for (i, &v) in values.iter().enumerate() {
-                        module
-                            .data_mut()
-                            .write_i64(PhysAddr(col.0 + i as u64 * 8), v);
-                    }
-                    replicas.push(col);
-                    outs.push(PhysAddr(r * rank_bytes + 192 * 1024));
-                    proj_outs.push(PhysAddr(r * rank_bytes + 64 * 1024));
-                    stage_outs.push(PhysAddr(r * rank_bytes + 128 * 1024));
-                }
-                NodeRig {
-                    module,
-                    devices: (0..ranks_per_node)
-                        .map(|_| JafarDevice::paper_default())
-                        .collect(),
-                    drivers: (0..ranks_per_node)
-                        .map(|_| ResilientDriver::new(ResilienceConfig::default()))
-                        .collect(),
-                    replicas,
-                    outs,
-                    proj_outs,
-                    stage_outs,
-                }
-            })
+        let nodes: Vec<WideRig> = (0..nodes)
+            .map(|_| wide_rig(1, ranks_per_node, seed))
             .collect();
         ClusterRig {
+            values: nodes[0].values.clone(),
             nodes,
-            // Filled per run (one pool per node) so `run` can borrow
-            // them alongside the mutable node machines.
-            pools: Vec::new(),
-            values,
-            keys,
             tracer: SharedTracer::disabled(),
         }
     }
@@ -964,38 +892,12 @@ mod tests {
             cfg: &ServeConfig,
             ccfg: &ClusterConfig,
         ) -> ClusterReport {
-            let ClusterRig {
-                nodes,
-                pools,
-                values,
-                keys,
-                tracer,
-            } = self;
-            pools.clear();
-            pools.extend(nodes.iter().map(|n| SingleDimmPool::new(n.devices.len())));
-            let envs: Vec<ServeEnv<'_>> = nodes
-                .iter_mut()
-                .zip(pools.iter())
-                .map(|(node, pool)| ServeEnv {
-                    modules: vec![&mut node.module],
-                    pool,
-                    devices: &mut node.devices,
-                    drivers: &mut node.drivers,
-                    replicas: &node.replicas,
-                    outs: &node.outs,
-                    proj_outs: &node.proj_outs,
-                    values,
-                    keys,
-                    stage_outs: &node.stage_outs,
-                    tracer,
-                })
-                .collect();
             run_cluster(
                 ClusterEnv {
-                    nodes: envs,
+                    nodes: self.nodes.iter_mut().map(WideRig::env).collect(),
                     placement,
                     fabric,
-                    tracer,
+                    tracer: &self.tracer,
                 },
                 workload,
                 policy,
@@ -1161,13 +1063,9 @@ mod tests {
         let mut rig = cluster_rig(2, 1, 29);
         // Node 1's only rank is dark for the whole run; round-robin
         // keeps sending it queries anyway.
-        rig.nodes[1]
-            .module
-            .set_fault_injector(Some(FaultInjector::new(FaultPlan::none(1).with_outage(
-                0,
-                Tick::ZERO,
-                Tick::MAX,
-            ))));
+        rig.nodes[1].modules[0].set_fault_injector(Some(FaultInjector::new(
+            FaultPlan::none(1).with_outage(0, Tick::ZERO, Tick::MAX),
+        )));
         let placement = Placement::hot(2);
         let mut fabric = cluster_fabric(2, 0xBAD);
         let workload = mixed_workload(10, Tick::from_us(40), 31);
@@ -1208,13 +1106,9 @@ mod tests {
     fn rf1_dark_holder_falls_back_to_frontend_pulls() {
         let mut rig = cluster_rig(2, 1, 53);
         // The column lives only on node 0, and node 0 is dark.
-        rig.nodes[0]
-            .module
-            .set_fault_injector(Some(FaultInjector::new(FaultPlan::none(1).with_outage(
-                0,
-                Tick::ZERO,
-                Tick::MAX,
-            ))));
+        rig.nodes[0].modules[0].set_fault_injector(Some(FaultInjector::new(
+            FaultPlan::none(1).with_outage(0, Tick::ZERO, Tick::MAX),
+        )));
         let placement = Placement::cold(2, 1);
         let mut fabric = cluster_fabric(2, 0xD00);
         let workload = mixed_workload(10, Tick::from_us(40), 59);

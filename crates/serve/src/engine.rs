@@ -7,18 +7,16 @@
 //! [`ServeConfig::max_queue`] queries are waiting, the backpressure signal
 //! an upstream client would see as a fast-fail — and are dispatched onto
 //! free filter units by the configured [`SchedPolicy`]. The schedulable
-//! pool is a first-class [`FilterPool`]: the engine schedules over dense
-//! unit ids and the pool maps each id to its `{channel, rank, bank-group}`
+//! pool is a channels × ranks [`FilterPool`]: the engine schedules over
+//! dense unit ids and the pool maps each id to its `{channel, rank}`
 //! coordinates, so the same event loop drives a single DIMM's rank vector
-//! ([`crate::pool::SingleDimmPool`]) or a channels × ranks pool over an
-//! interleaved multi-channel memory system
-//! ([`crate::pool::ChannelRankPool`]) — every per-unit resource (device,
-//! driver, replica, output buffers) indexes by unit id, and each unit's
-//! DRAM traffic goes to its own channel's module. A dispatched query is
-//! sharded over up to [`ServeConfig::fanout`] free units and runs as one
-//! steppable [`SelectSession`] per shard, exactly the PR-3 rank-parallel
-//! machinery, so many in-flight queries interleave in simulated time
-//! instead of serializing.
+//! (one channel) or an interleaved multi-channel memory system — every
+//! per-unit resource (device, driver, [`UnitBuffers`]) indexes by unit
+//! id, and each unit's DRAM traffic goes to its own channel's module. A
+//! dispatched query is sharded over up to [`ServeConfig::fanout`] free
+//! units and runs as one steppable [`SelectSession`] per shard, exactly
+//! the PR-3 rank-parallel machinery, so many in-flight queries interleave
+//! in simulated time instead of serializing.
 //!
 //! # Event loop and determinism
 //!
@@ -251,36 +249,46 @@ impl fmt::Display for EngineInvariant {
 
 impl std::error::Error for EngineInvariant {}
 
+/// Where one filter unit's serve buffers live: 64-byte-aligned,
+/// channel-local addresses within `modules[pool.unit(u).channel]`. A unit
+/// runs one shard at a time, so every buffer is reused across queries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UnitBuffers {
+    /// Base of the unit's column replica.
+    pub replica: PhysAddr,
+    /// Base of the unit's output bitset buffer, [`out_lanes`] lanes of
+    /// one 64-byte-rounded full-column bitset each.
+    pub out: PhysAddr,
+    /// Base of the unit's packed projection output, sized for the full
+    /// column (`values.len() · 8` bytes).
+    pub proj: PhysAddr,
+    /// Base of the unit's group-by staging region, sized for the full
+    /// column plus one 64-byte pad: partitioned qualifying values are
+    /// staged contiguously per group there, so each group folds as one
+    /// device aggregate kernel.
+    pub stage: PhysAddr,
+}
+
 /// Borrowed machine state the engine schedules onto. The caller (usually
-/// `jafar_sim::System::serve`) owns the DRAM modules, the pool topology,
-/// the per-unit devices and drivers, and the per-unit column replicas +
-/// output buffers; the engine only decides who runs where and when.
+/// `jafar_sim::System::serve`) owns the DRAM modules, the per-unit
+/// devices and drivers, and the per-unit buffers; the engine only
+/// decides who runs where and when.
 pub struct ServeEnv<'a> {
     /// One DRAM module per memory channel, indexed by
     /// [`crate::pool::FilterUnit::channel`]. A single-channel pool is
-    /// `vec![&mut module]` — exactly the pre-pool engine's machine.
+    /// `vec![&mut module]`.
     pub modules: Vec<&'a mut DramModule>,
     /// The schedulable pool topology: maps dense unit ids to
-    /// `{channel, rank, bank-group}` coordinates. `pool.units()` must
-    /// equal every per-unit slice length and `pool.channels()` the
-    /// module count.
-    pub pool: &'a dyn FilterPool,
+    /// `{channel, rank}` coordinates. `pool.units()` must equal every
+    /// per-unit slice length and `pool.channels()` the module count.
+    pub pool: FilterPool,
     /// One JAFAR device per filter unit; `devices[u]` serves unit `u`.
     pub devices: &'a mut [JafarDevice],
     /// One persistent resilient driver per unit (breaker state spans
     /// queries). Must be as long as `devices`.
     pub drivers: &'a mut [ResilientDriver],
-    /// Per-unit 64-byte-aligned base of the column replica on that unit —
-    /// a channel-local address within `modules[pool.unit(u).channel]`.
-    pub replicas: &'a [PhysAddr],
-    /// Per-unit 64-byte-aligned base of that unit's output bitset buffer
-    /// (channel-local; reused across queries; a unit runs one shard at a
-    /// time).
-    pub outs: &'a [PhysAddr],
-    /// Per-unit 64-byte-aligned base of that unit's packed projection
-    /// output region (channel-local; reused across queries; sized for
-    /// the full column, `values.len() · 8` bytes).
-    pub proj_outs: &'a [PhysAddr],
+    /// One buffer record per unit; `buffers[u]` belongs to unit `u`.
+    pub buffers: &'a [UnitBuffers],
     /// Host copy of the column, for the degraded CPU rung's functional
     /// result. Every query scans this full column.
     pub values: &'a [i64],
@@ -288,13 +296,6 @@ pub struct ServeEnv<'a> {
     /// `values`. Empty when the workload has no [`QueryOp::GroupBy`]
     /// queries; otherwise must be exactly as long as `values`.
     pub keys: &'a [i64],
-    /// Per-unit 64-byte-aligned base of that unit's group-by staging
-    /// region (channel-local; reused across queries; sized for the full
-    /// column, `values.len() · 8` bytes): partitioned qualifying values
-    /// are staged contiguously per group there, so each group folds as
-    /// one device aggregate kernel. Empty when the workload has no
-    /// group-by queries.
-    pub stage_outs: &'a [PhysAddr],
     /// Trace sink for the `QueryAdmitted/Started/Done/Shed` events.
     pub tracer: &'a SharedTracer,
 }
@@ -506,7 +507,8 @@ pub fn run_serve_checked(
 /// under `cfg`: the fusion window, or the widest semi-join's range count
 /// if that is larger — a semi-join's ranges always fuse into one scan,
 /// even when `fuse_window` is 1. Every `ServeEnv` allocator sizes
-/// `outs[u]` as `out_lanes(..) ·` one 64-byte-rounded full-column bitset.
+/// [`UnitBuffers::out`] as `out_lanes(..) ·` one 64-byte-rounded
+/// full-column bitset.
 pub fn out_lanes(cfg: &ServeConfig, workload: &Workload) -> u64 {
     (cfg.fuse_window.max(1) as u64).max(workload.max_semi_lanes() as u64)
 }
@@ -532,13 +534,7 @@ impl<'a, 'e> Engine<'a, 'e> {
         assert!(nunits > 0, "serving needs at least one filter unit");
         assert_eq!(env.devices.len(), nunits, "one device per unit");
         assert_eq!(env.drivers.len(), nunits, "one driver per unit");
-        assert_eq!(env.replicas.len(), nunits, "one column replica per unit");
-        assert_eq!(env.outs.len(), nunits, "one output buffer per unit");
-        assert_eq!(
-            env.proj_outs.len(),
-            nunits,
-            "one projection buffer per unit"
-        );
+        assert_eq!(env.buffers.len(), nunits, "one buffer record per unit");
         assert_eq!(
             env.modules.len(),
             env.pool.channels(),
@@ -558,11 +554,6 @@ impl<'a, 'e> Engine<'a, 'e> {
                 env.keys.len(),
                 env.values.len(),
                 "a group-by workload needs a key column"
-            );
-            assert_eq!(
-                env.stage_outs.len(),
-                nunits,
-                "a group-by workload needs one staging buffer per unit"
             );
         }
 
@@ -1161,7 +1152,9 @@ impl Engine<'_, '_> {
                 let mut prefix = vec![0u8; nbytes];
                 self.env.modules[ch].data().read(
                     PhysAddr(
-                        self.env.outs[shard.from_unit].0 + lane as u64 * stride + shard.off / 8,
+                        self.env.buffers[shard.from_unit].out.0
+                            + lane as u64 * stride
+                            + shard.off / 8,
                     ),
                     &mut prefix,
                 );
@@ -1199,7 +1192,7 @@ impl Engine<'_, '_> {
     fn migrate_shard(&mut self, shard: RescueShard, u: usize, t: Tick) {
         let ch = self.env.pool.unit(u).channel;
         let stride = self.lane_stride();
-        let base = self.env.outs[u].0 + shard.off / 8;
+        let base = self.env.buffers[u].out.0 + shard.off / 8;
         let mut cost = Tick::ZERO;
         for (lane, prefix) in shard.prefixes.iter().enumerate() {
             let lane_base = base + lane as u64 * stride;
@@ -1212,7 +1205,7 @@ impl Engine<'_, '_> {
                 cost += self.cfg.resilience.degraded_line_cost;
             }
         }
-        let col_addr = PhysAddr(self.env.replicas[u].0 + shard.off * 8);
+        let col_addr = PhysAddr(self.env.buffers[u].replica.0 + shard.off * 8);
         // The resumed session's lanes must mirror the parked one's:
         // `lane_preds` re-derives them from the records (a solo
         // multi-range semi-join resumes fused over its key ranges, not
@@ -1419,7 +1412,7 @@ impl Engine<'_, '_> {
             }
             let len = chunk.min(rows - off);
             let ch = self.env.pool.unit(u).channel;
-            let col_addr = PhysAddr(self.env.replicas[u].0 + off * 8);
+            let col_addr = PhysAddr(self.env.buffers[u].replica.0 + off * 8);
             let session = if preds.len() == 1 {
                 let (lo, hi) = preds[0];
                 let req = SelectRequest {
@@ -1427,7 +1420,7 @@ impl Engine<'_, '_> {
                     rows: len,
                     lo,
                     hi,
-                    out_addr: PhysAddr(self.env.outs[u].0 + off / 8),
+                    out_addr: PhysAddr(self.env.buffers[u].out.0 + off / 8),
                 };
                 ShardSession::Solo(self.env.drivers[u].start_session(self.env.modules[ch], req, t))
             } else {
@@ -1436,7 +1429,9 @@ impl Engine<'_, '_> {
                     rows: len,
                     preds: preds.clone(),
                     out_addrs: (0..preds.len())
-                        .map(|lane| PhysAddr(self.env.outs[u].0 + lane as u64 * stride + off / 8))
+                        .map(|lane| {
+                            PhysAddr(self.env.buffers[u].out.0 + lane as u64 * stride + off / 8)
+                        })
                         .collect(),
                 };
                 ShardSession::Fused(self.env.drivers[u].start_fused_session(
@@ -1523,7 +1518,7 @@ impl Engine<'_, '_> {
                 break;
             };
             let job = AggregateJob {
-                col_addr: PhysAddr(self.env.replicas[u].0 + off * 8),
+                col_addr: PhysAddr(self.env.buffers[u].replica.0 + off * 8),
                 rows: len,
                 op,
                 filter: Some(Predicate::Between(lo, hi)),
@@ -1707,7 +1702,7 @@ impl Engine<'_, '_> {
                 grouped.entry(k).or_default().push(v);
             }
             let ch = self.env.pool.unit(u).channel;
-            let base = self.env.stage_outs[u];
+            let base = self.env.buffers[u].stage;
             let mut layout: Vec<(i64, u64, Vec<i64>)> = Vec::new();
             let mut off = 0u64;
             for (k, vs) in grouped {
@@ -1891,7 +1886,9 @@ impl Engine<'_, '_> {
                     for lane in 0..lanes {
                         self.env.modules[ch].data().read(
                             PhysAddr(
-                                self.env.outs[shard.unit].0 + lane as u64 * stride + shard.off / 8,
+                                self.env.buffers[shard.unit].out.0
+                                    + lane as u64 * stride
+                                    + shard.off / 8,
                             ),
                             &mut buf,
                         );
@@ -1911,7 +1908,9 @@ impl Engine<'_, '_> {
                     let rec = &mut self.records[qid as usize];
                     self.env.modules[ch].data().read(
                         PhysAddr(
-                            self.env.outs[shard.unit].0 + lane as u64 * stride + shard.off / 8,
+                            self.env.buffers[shard.unit].out.0
+                                + lane as u64 * stride
+                                + shard.off / 8,
                         ),
                         &mut rec.bitset[at..at + nbytes],
                     );
@@ -1936,7 +1935,7 @@ impl Engine<'_, '_> {
         let at = (shard.off / 8) as usize;
         let rec = &mut self.records[qid as usize];
         self.env.modules[ch].data().read(
-            PhysAddr(self.env.outs[shard.unit].0 + shard.off / 8),
+            PhysAddr(self.env.buffers[shard.unit].out.0 + shard.off / 8),
             &mut rec.bitset[at..at + nbytes],
         );
         if !shard.rows.is_multiple_of(8) {
@@ -1958,10 +1957,10 @@ impl Engine<'_, '_> {
             // shard's bitset slice starts on a 512-row boundary, so both
             // it and the packed output stay 64-byte aligned.
             let job = ProjectJob {
-                col_addr: PhysAddr(self.env.replicas[shard.unit].0 + shard.off * 8),
+                col_addr: PhysAddr(self.env.buffers[shard.unit].replica.0 + shard.off * 8),
                 rows: shard.rows,
-                bitset_addr: PhysAddr(self.env.outs[shard.unit].0 + shard.off / 8),
-                out_addr: PhysAddr(self.env.proj_outs[shard.unit].0 + shard.off * 8),
+                bitset_addr: PhysAddr(self.env.buffers[shard.unit].out.0 + shard.off / 8),
+                out_addr: PhysAddr(self.env.buffers[shard.unit].proj.0 + shard.off * 8),
             };
             let mut emitted = 0u64;
             let mut failed_at = None;
@@ -1999,7 +1998,7 @@ impl Engine<'_, '_> {
                 );
                 return Ok(());
             }
-            let base = self.env.proj_outs[shard.unit].0 + shard.off * 8;
+            let base = self.env.buffers[shard.unit].proj.0 + shard.off * 8;
             let vals: Vec<i64> = (0..emitted)
                 .map(|i| self.env.modules[ch].data().read_i64(PhysAddr(base + i * 8)))
                 .collect();
@@ -2073,11 +2072,11 @@ impl Engine<'_, '_> {
             .min(self.env.values.len() as u64)
             .max(1);
         let req = SelectRequest {
-            col_addr: self.env.replicas[u],
+            col_addr: self.env.buffers[u].replica,
             rows,
             lo: 0,
             hi: -1,
-            out_addr: self.env.outs[u],
+            out_addr: self.env.buffers[u].out,
         };
         let ch = self.env.pool.unit(u).channel;
         let mut session = self.env.drivers[u].start_session(self.env.modules[ch], req, t);
@@ -2335,112 +2334,8 @@ fn merge_agg(op: AggOp, a: Option<i64>, b: Option<i64>) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{ChannelRankPool, SingleDimmPool};
+    use crate::rig::{rig, wide_rig, ROWS};
     use crate::workload::{PredicateMix, QuerySpec};
-    use jafar_common::rng::SplitMix64;
-    use jafar_dram::{AddressMapping, DramGeometry, DramTiming};
-
-    const ROWS: u64 = 2048;
-
-    /// A self-contained serving machine over an explicit module: every
-    /// rank carries a full replica of the same seeded column plus an
-    /// output buffer, one device + persistent driver each.
-    struct Rig {
-        module: DramModule,
-        devices: Vec<JafarDevice>,
-        drivers: Vec<ResilientDriver>,
-        replicas: Vec<PhysAddr>,
-        outs: Vec<PhysAddr>,
-        proj_outs: Vec<PhysAddr>,
-        stage_outs: Vec<PhysAddr>,
-        values: Vec<i64>,
-        keys: Vec<i64>,
-        tracer: SharedTracer,
-    }
-
-    fn rig(nranks: u32, seed: u64) -> Rig {
-        let geom = DramGeometry {
-            ranks: nranks,
-            banks_per_rank: 4,
-            rows_per_bank: 64,
-            row_bytes: 1024,
-        };
-        let mut module = DramModule::new(
-            geom,
-            DramTiming::ddr3_paper().without_refresh(),
-            AddressMapping::RankRowBankBlock,
-        );
-        let mut rng = SplitMix64::new(seed);
-        let values: Vec<i64> = (0..ROWS)
-            .map(|_| rng.next_range_inclusive(0, 999))
-            .collect();
-        // A separate key stream keeps the value stream (and with it
-        // every pre-group-by golden expectation) untouched.
-        let mut krng = SplitMix64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-        let keys: Vec<i64> = (0..ROWS)
-            .map(|_| krng.next_range_inclusive(0, 15))
-            .collect();
-        let rank_bytes = geom.rank_bytes();
-        let mut replicas = Vec::new();
-        let mut outs = Vec::new();
-        let mut proj_outs = Vec::new();
-        let mut stage_outs = Vec::new();
-        for r in 0..nranks as u64 {
-            let col = PhysAddr(r * rank_bytes);
-            for (i, &v) in values.iter().enumerate() {
-                module
-                    .data_mut()
-                    .write_i64(PhysAddr(col.0 + i as u64 * 8), v);
-            }
-            replicas.push(col);
-            outs.push(PhysAddr(r * rank_bytes + 192 * 1024));
-            proj_outs.push(PhysAddr(r * rank_bytes + 64 * 1024));
-            stage_outs.push(PhysAddr(r * rank_bytes + 128 * 1024));
-        }
-        Rig {
-            module,
-            devices: (0..nranks).map(|_| JafarDevice::paper_default()).collect(),
-            drivers: (0..nranks)
-                .map(|_| ResilientDriver::new(ResilienceConfig::default()))
-                .collect(),
-            replicas,
-            outs,
-            proj_outs,
-            stage_outs,
-            values,
-            keys,
-            tracer: SharedTracer::disabled(),
-        }
-    }
-
-    impl Rig {
-        fn serve(
-            &mut self,
-            workload: &Workload,
-            policy: SchedPolicy,
-            cfg: &ServeConfig,
-        ) -> ServeReport {
-            let pool = SingleDimmPool::new(self.devices.len());
-            run_serve(
-                ServeEnv {
-                    modules: vec![&mut self.module],
-                    pool: &pool,
-                    devices: &mut self.devices,
-                    drivers: &mut self.drivers,
-                    replicas: &self.replicas,
-                    outs: &self.outs,
-                    proj_outs: &self.proj_outs,
-                    values: &self.values,
-                    keys: &self.keys,
-                    stage_outs: &self.stage_outs,
-                    tracer: &self.tracer,
-                },
-                workload,
-                policy,
-                cfg,
-            )
-        }
-    }
 
     fn reference_bytes(values: &[i64], lo: i64, hi: i64) -> Vec<u8> {
         let mut bytes = vec![0u8; values.len().div_ceil(8)];
@@ -2760,12 +2655,9 @@ mod tests {
     fn permanent_outage_parks_migrates_and_completes_bit_identically() {
         use jafar_dram::{FaultInjector, FaultPlan};
         let mut rig = rig(4, 9);
-        rig.module
-            .set_fault_injector(Some(FaultInjector::new(FaultPlan::none(3).with_outage(
-                0,
-                Tick::ZERO,
-                Tick::MAX,
-            ))));
+        rig.modules[0].set_fault_injector(Some(FaultInjector::new(
+            FaultPlan::none(3).with_outage(0, Tick::ZERO, Tick::MAX),
+        )));
         let workload = Workload {
             specs: vec![spec(100, 420, None)],
             arrivals: Arrivals::Open(vec![Tick::ZERO]),
@@ -2797,12 +2689,9 @@ mod tests {
     fn outage_heals_via_canary_and_the_rank_returns_to_service() {
         use jafar_dram::{FaultInjector, FaultPlan};
         let mut rig = rig(2, 21);
-        rig.module
-            .set_fault_injector(Some(FaultInjector::new(FaultPlan::none(5).with_outage(
-                1,
-                Tick::ZERO,
-                Tick::from_us(100),
-            ))));
+        rig.modules[0].set_fault_injector(Some(FaultInjector::new(
+            FaultPlan::none(5).with_outage(1, Tick::ZERO, Tick::from_us(100)),
+        )));
         let workload = Workload {
             specs: vec![spec(0, 500, None), spec(200, 700, None)],
             arrivals: Arrivals::Open(vec![Tick::ZERO, Tick::from_us(500)]),
@@ -2832,7 +2721,7 @@ mod tests {
     fn quarantined_ranks_tighten_admission_and_shed_excess_arrivals() {
         use jafar_dram::{FaultInjector, FaultPlan};
         let mut rig = rig(4, 13);
-        rig.module.set_fault_injector(Some(FaultInjector::new(
+        rig.modules[0].set_fault_injector(Some(FaultInjector::new(
             FaultPlan::none(1)
                 .with_outage(0, Tick::ZERO, Tick::MAX)
                 .with_outage(1, Tick::ZERO, Tick::MAX)
@@ -2879,7 +2768,7 @@ mod tests {
         use jafar_dram::{FaultInjector, FaultPlan};
         let run = || {
             let mut rig = rig(4, 33);
-            rig.module.set_fault_injector(Some(FaultInjector::new(
+            rig.modules[0].set_fault_injector(Some(FaultInjector::new(
                 FaultPlan::chaos(7).with_outage(2, Tick::from_us(5), Tick::from_us(80)),
             )));
             let mix = PredicateMix::UniformRange {
@@ -2891,110 +2780,6 @@ mod tests {
             rig.serve(&workload, SchedPolicy::Edf, &ServeConfig::default())
         };
         assert_eq!(run(), run());
-    }
-
-    /// A channels × ranks machine: one module per channel, every
-    /// channel's units laid out at the *same* channel-local addresses as
-    /// the single-channel rig, serving over a [`ChannelRankPool`].
-    struct WideRig {
-        modules: Vec<DramModule>,
-        pool: ChannelRankPool,
-        devices: Vec<JafarDevice>,
-        drivers: Vec<ResilientDriver>,
-        replicas: Vec<PhysAddr>,
-        outs: Vec<PhysAddr>,
-        proj_outs: Vec<PhysAddr>,
-        stage_outs: Vec<PhysAddr>,
-        values: Vec<i64>,
-        keys: Vec<i64>,
-        tracer: SharedTracer,
-    }
-
-    fn wide_rig(channels: usize, ranks_per: u32, seed: u64) -> WideRig {
-        let geom = DramGeometry {
-            ranks: ranks_per,
-            banks_per_rank: 4,
-            rows_per_bank: 64,
-            row_bytes: 1024,
-        };
-        let mut rng = SplitMix64::new(seed);
-        let values: Vec<i64> = (0..ROWS)
-            .map(|_| rng.next_range_inclusive(0, 999))
-            .collect();
-        let mut krng = SplitMix64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-        let keys: Vec<i64> = (0..ROWS)
-            .map(|_| krng.next_range_inclusive(0, 15))
-            .collect();
-        let rank_bytes = geom.rank_bytes();
-        let mut modules = Vec::new();
-        let mut replicas = Vec::new();
-        let mut outs = Vec::new();
-        let mut proj_outs = Vec::new();
-        let mut stage_outs = Vec::new();
-        for _ch in 0..channels {
-            let mut module = DramModule::new(
-                geom,
-                DramTiming::ddr3_paper().without_refresh(),
-                AddressMapping::RankRowBankBlock,
-            );
-            for r in 0..ranks_per as u64 {
-                let col = PhysAddr(r * rank_bytes);
-                for (i, &v) in values.iter().enumerate() {
-                    module
-                        .data_mut()
-                        .write_i64(PhysAddr(col.0 + i as u64 * 8), v);
-                }
-                replicas.push(col);
-                outs.push(PhysAddr(r * rank_bytes + 192 * 1024));
-                proj_outs.push(PhysAddr(r * rank_bytes + 64 * 1024));
-                stage_outs.push(PhysAddr(r * rank_bytes + 128 * 1024));
-            }
-            modules.push(module);
-        }
-        let nunits = channels * ranks_per as usize;
-        WideRig {
-            modules,
-            pool: ChannelRankPool::new(channels, ranks_per as usize),
-            devices: (0..nunits).map(|_| JafarDevice::paper_default()).collect(),
-            drivers: (0..nunits)
-                .map(|_| ResilientDriver::new(ResilienceConfig::default()))
-                .collect(),
-            replicas,
-            outs,
-            proj_outs,
-            stage_outs,
-            values,
-            keys,
-            tracer: SharedTracer::disabled(),
-        }
-    }
-
-    impl WideRig {
-        fn serve(
-            &mut self,
-            workload: &Workload,
-            policy: SchedPolicy,
-            cfg: &ServeConfig,
-        ) -> ServeReport {
-            run_serve(
-                ServeEnv {
-                    modules: self.modules.iter_mut().collect(),
-                    pool: &self.pool,
-                    devices: &mut self.devices,
-                    drivers: &mut self.drivers,
-                    replicas: &self.replicas,
-                    outs: &self.outs,
-                    proj_outs: &self.proj_outs,
-                    values: &self.values,
-                    keys: &self.keys,
-                    stage_outs: &self.stage_outs,
-                    tracer: &self.tracer,
-                },
-                workload,
-                policy,
-                cfg,
-            )
-        }
     }
 
     #[test]
@@ -3273,12 +3058,9 @@ mod tests {
         // salvaged, and the shard resumes on the surviving rank — all
         // three co-riders must still complete byte-identically.
         let mut sick = rig(2, 77);
-        sick.module
-            .set_fault_injector(Some(FaultInjector::new(FaultPlan::none(3).with_outage(
-                0,
-                mid,
-                Tick::MAX,
-            ))));
+        sick.modules[0].set_fault_injector(Some(FaultInjector::new(
+            FaultPlan::none(3).with_outage(0, mid, Tick::MAX),
+        )));
         let report = sick.serve(&workload, SchedPolicy::Fifo, &fcfg);
         assert_eq!(report.completed(), 4);
         for rec in &report.records {

@@ -2,8 +2,8 @@
 //! domain: `healthy → suspect → quarantined → probing → healthy`.
 //!
 //! The tracker is keyed by **pool unit id** (one entry per
-//! [`crate::pool::FilterPool`] unit — a `{channel, rank, bank-group}`
-//! coordinate; on a single-DIMM pool `unit == rank`). A unit is
+//! [`crate::pool::FilterPool`] unit — a `{channel, rank}` coordinate;
+//! on a one-channel pool `unit == rank`). A unit is
 //! **suspect** the instant one of its shards parks (the resilient
 //! driver's fail-fast ladder gave up on a page) and **quarantined** — out
 //! of the schedulable pool — once the engine's rescue event confirms the

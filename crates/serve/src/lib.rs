@@ -11,11 +11,10 @@
 //! - [`workload`]: seeded query streams — open-loop Poisson and
 //!   closed-loop arrival generators over uniform or TPC-H-Q6-style
 //!   predicate mixes, plus an optional per-query latency SLO;
-//! - [`pool`]: the first-class schedulable pool — a [`FilterPool`] maps
-//!   dense unit ids to `{channel, rank, bank-group}` coordinates, with
-//!   implementations for today's single-DIMM rank vector and a
-//!   channels × ranks pool over the interleaved multi-channel memory
-//!   system;
+//! - [`pool`]: the schedulable pool — a channels × ranks [`FilterPool`]
+//!   maps dense unit ids to `{channel, rank}` coordinates; one channel is
+//!   a single DIMM's rank vector, more channels the interleaved
+//!   multi-channel memory system;
 //! - [`policy`]: pluggable scheduling policies — FIFO,
 //!   earliest-deadline-first, and contention-aware unit affinity (free
 //!   units ordered by channel queue depth, then breaker state and
@@ -51,8 +50,9 @@
 //! same predicate alone.
 //!
 //! The usual entry point is `jafar_sim::System::serve`, which owns the
-//! DRAM module, replicates the column across the NDP ranks and hands the
-//! engine a [`engine::ServeEnv`].
+//! DRAM module, replicates the column across the NDP ranks, hands the
+//! engine a [`engine::ServeEnv`] with one [`engine::UnitBuffers`] record
+//! per unit, and gives the carved memory back once the run ends.
 
 pub mod cluster;
 pub mod engine;
@@ -60,6 +60,8 @@ pub mod health;
 pub mod policy;
 pub mod pool;
 pub mod report;
+#[cfg(test)]
+mod rig;
 pub mod submit;
 pub mod workload;
 
@@ -67,10 +69,12 @@ pub use cluster::{
     cluster_fabric, run_cluster, ClusterConfig, ClusterEnv, ClusterQuery, ClusterReport,
     NodeSummary, RoutePolicy, Tier,
 };
-pub use engine::{out_lanes, run_serve, run_serve_checked, EngineInvariant, ServeConfig, ServeEnv};
+pub use engine::{
+    out_lanes, run_serve, run_serve_checked, EngineInvariant, ServeConfig, ServeEnv, UnitBuffers,
+};
 pub use health::{HealthConfig, UnitState};
 pub use policy::SchedPolicy;
-pub use pool::{ChannelRankPool, FilterPool, FilterUnit, PoolIdError, SingleDimmPool};
+pub use pool::{FilterPool, FilterUnit, PoolIdError};
 pub use report::{Availability, ExecMode, OpBreakdown, QueryRecord, ServeReport, UnitAvailability};
 pub use submit::{semi_join_spec, spec_from_plan, workload_from_plans, Lowered, SubmitError};
 pub use workload::{

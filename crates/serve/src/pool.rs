@@ -2,33 +2,32 @@
 //!
 //! JAFAR places one filter unit per rank, but "the pool" the serving
 //! engine schedules over is not inherently one DIMM's rank vector: with a
-//! multi-channel memory system every channel brings its own ranks, and
-//! bank-group-level designs (Membrane-style) multiply the pool again
-//! within a rank. [`FilterPool`] abstracts that topology: the engine
-//! schedules over opaque **unit ids** `0..units()`, and the pool maps
-//! each id to its physical coordinates — `{channel, rank, bank_group}` —
-//! so dispatch, health tracking, canary probing, fault confinement and
-//! the availability ledger all work per unit rather than per DIMM-rank.
+//! multi-channel memory system every channel brings its own ranks.
+//! [`FilterPool`] names that topology: the engine schedules over opaque
+//! **unit ids** `0..units()`, and the pool maps each id to its physical
+//! coordinates — `{channel, rank}` — so dispatch, health tracking, canary
+//! probing, fault confinement and the availability ledger all work per
+//! unit rather than per DIMM-rank.
 //!
 //! # Unit id scheme
 //!
 //! Ids are dense and channel-major:
 //!
 //! ```text
-//! unit = (channel · ranks_per_channel + rank) · bank_groups + bank_group
+//! unit = channel · ranks_per_channel + rank
 //! ```
 //!
-//! so a single-channel, one-bank-group pool degenerates to `unit == rank`
-//! — today's single-DIMM layout, byte-for-byte. The id order is also the
-//! engine's deterministic tie-break order, which keeps serve runs pure
-//! functions of `(workload, policy, config, pool)`.
+//! so a single-channel pool degenerates to `unit == rank` — the
+//! single-DIMM layout, byte-for-byte. The id order is also the engine's
+//! deterministic tie-break order, which keeps serve runs pure functions
+//! of `(workload, policy, config, pool)`.
 //!
 //! # Placement rules
 //!
 //! The pool is a topology map only; *placement* — where each unit's
-//! column replica, bitset buffer and projection buffer live — is recorded
-//! in the serve env's per-unit address slices (`replicas[u]`, `outs[u]`,
-//! `proj_outs[u]`, all channel-local addresses within
+//! column replica, bitset buffer, projection buffer and group-by staging
+//! region live — is recorded in the serve env's per-unit
+//! [`crate::engine::UnitBuffers`] (all channel-local addresses within
 //! `modules[unit(u).channel]`). A column's stripes land whole on one
 //! channel's ranks (contiguous placement, `phase_rows(rows, 1, 0)` rows
 //! per replica in [`jafar_core::interleave`] terms), never word-
@@ -47,16 +46,16 @@
 
 use std::fmt;
 
-/// Typed failure from unit-id arithmetic: the `(channel, rank,
-/// bank_group)` coordinates do not map to a dense id, either because a
-/// coordinate is outside the pool's shape or because the id computation
-/// would exceed `usize::MAX` (silent wraparound would alias two distinct
-/// units onto one id — a correctness bug, not a perf bug).
+/// Typed failure from unit-id arithmetic: the `(channel, rank)`
+/// coordinates do not map to a dense id, either because a coordinate is
+/// outside the pool's shape or because the id computation would exceed
+/// `usize::MAX` (silent wraparound would alias two distinct units onto
+/// one id — a correctness bug, not a perf bug).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PoolIdError {
     /// A coordinate is at or beyond its axis extent.
     OutOfRange {
-        /// Which axis (`"channel"`, `"rank"`, `"bank_group"`).
+        /// Which axis (`"channel"` or `"rank"`).
         axis: &'static str,
         /// The offending coordinate.
         index: usize,
@@ -89,93 +88,33 @@ pub struct FilterUnit {
     pub channel: usize,
     /// Rank within that channel the unit filters.
     pub rank: usize,
-    /// Bank group within the rank (0 for whole-rank units; reserved for
-    /// Membrane-style bank-group-level pools).
-    pub bank_group: usize,
 }
 
-/// A schedulable pool of filter units: the topology the serving engine
-/// dispatches onto. See the module docs for the id scheme and placement
-/// rules.
-pub trait FilterPool {
-    /// Number of schedulable units (dense ids `0..units()`).
-    fn units(&self) -> usize;
-
-    /// Physical coordinates of unit `u`.
-    ///
-    /// # Panics
-    /// Implementations may panic when `u >= units()`.
-    fn unit(&self, u: usize) -> FilterUnit;
-
-    /// Number of memory channels the pool spans. Every
-    /// [`FilterUnit::channel`] is below this.
-    fn channels(&self) -> usize;
-}
-
-/// Today's single-DIMM pool: one channel, one unit per NDP rank, whole
-/// ranks (`unit == rank`). The degenerate case every pre-pool serve run
-/// used implicitly.
-#[derive(Clone, Copy, Debug)]
-pub struct SingleDimmPool {
-    ranks: usize,
-}
-
-impl SingleDimmPool {
-    /// A pool over `ranks` NDP ranks of one DIMM.
-    ///
-    /// # Panics
-    /// Panics if `ranks == 0` — an empty pool can serve nothing.
-    pub fn new(ranks: usize) -> Self {
-        assert!(ranks > 0, "a pool needs at least one unit");
-        SingleDimmPool { ranks }
-    }
-}
-
-impl FilterPool for SingleDimmPool {
-    fn units(&self) -> usize {
-        self.ranks
-    }
-
-    fn unit(&self, u: usize) -> FilterUnit {
-        assert!(u < self.ranks, "unit {u} out of range ({})", self.ranks);
-        FilterUnit {
-            channel: 0,
-            rank: u,
-            bank_group: 0,
-        }
-    }
-
-    fn channels(&self) -> usize {
-        1
-    }
-}
-
-/// A channels × ranks pool over an interleaved multi-channel memory
-/// system (`jafar_memctl::MultiChannel`): every channel brings
-/// `ranks_per_channel` whole-rank units. Unit ids are channel-major, so
-/// `channels == 1` is bit-compatible with [`SingleDimmPool`].
-#[derive(Clone, Copy, Debug)]
-pub struct ChannelRankPool {
+/// A channels × ranks pool of whole-rank filter units: the topology the
+/// serving engine dispatches onto. One channel is a single DIMM's rank
+/// vector; more channels model an interleaved multi-channel memory
+/// system (`jafar_memctl::MultiChannel`). See the module docs for the id
+/// scheme and placement rules.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FilterPool {
     channels: usize,
     ranks_per_channel: usize,
-    bank_groups: usize,
 }
 
-impl ChannelRankPool {
+impl FilterPool {
     /// A pool of `channels × ranks_per_channel` whole-rank units.
     ///
     /// # Panics
     /// Panics if either dimension is zero or the unit count overflows
-    /// `usize` (use [`ChannelRankPool::try_units`] to probe a shape).
+    /// `usize`.
     pub fn new(channels: usize, ranks_per_channel: usize) -> Self {
         assert!(
             channels > 0 && ranks_per_channel > 0,
             "a pool needs at least one unit"
         );
-        let pool = ChannelRankPool {
+        let pool = FilterPool {
             channels,
             ranks_per_channel,
-            bank_groups: 1,
         };
         assert!(
             pool.try_units().is_ok(),
@@ -184,41 +123,37 @@ impl ChannelRankPool {
         pool
     }
 
-    /// Splits every rank into `bank_groups` independently schedulable
-    /// units (Membrane-style bank-group parallelism).
+    /// Number of schedulable units (dense ids `0..units()`).
+    pub fn units(&self) -> usize {
+        self.channels * self.ranks_per_channel
+    }
+
+    /// Physical coordinates of unit `u`.
     ///
     /// # Panics
-    /// Panics if `bank_groups == 0` or the multiplied unit count
-    /// overflows `usize`.
-    pub fn with_bank_groups(mut self, bank_groups: usize) -> Self {
-        assert!(bank_groups > 0, "a rank has at least one bank group");
-        self.bank_groups = bank_groups;
-        assert!(
-            self.try_units().is_ok(),
-            "bank-group split to {bank_groups} overflows usize"
-        );
-        self
+    /// Panics when `u >= units()`.
+    pub fn unit(&self, u: usize) -> FilterUnit {
+        assert!(u < self.units(), "unit {u} out of range ({})", self.units());
+        FilterUnit {
+            channel: u / self.ranks_per_channel,
+            rank: u % self.ranks_per_channel,
+        }
     }
 
-    /// Ranks each channel contributes.
-    pub fn ranks_per_channel(&self) -> usize {
-        self.ranks_per_channel
+    /// Number of memory channels the pool spans. Every
+    /// [`FilterUnit::channel`] is below this.
+    pub fn channels(&self) -> usize {
+        self.channels
     }
 
-    /// The dense id of `(channel, rank, bank_group)` — the inverse of
+    /// The dense id of `(channel, rank)` — the inverse of
     /// [`FilterPool::unit`]. Checked: out-of-shape coordinates and
     /// `usize` overflow return a [`PoolIdError`] instead of silently
     /// wrapping onto some other unit's id.
-    pub fn id_of(
-        &self,
-        channel: usize,
-        rank: usize,
-        bank_group: usize,
-    ) -> Result<usize, PoolIdError> {
+    pub fn id_of(&self, channel: usize, rank: usize) -> Result<usize, PoolIdError> {
         for (axis, index, extent) in [
             ("channel", channel, self.channels),
             ("rank", rank, self.ranks_per_channel),
-            ("bank_group", bank_group, self.bank_groups),
         ] {
             if index >= extent {
                 return Err(PoolIdError::OutOfRange {
@@ -231,41 +166,16 @@ impl ChannelRankPool {
         channel
             .checked_mul(self.ranks_per_channel)
             .and_then(|v| v.checked_add(rank))
-            .and_then(|v| v.checked_mul(self.bank_groups))
-            .and_then(|v| v.checked_add(bank_group))
             .ok_or(PoolIdError::Overflow)
     }
 
     /// Total units, checked: `Err(Overflow)` when `channels ×
-    /// ranks_per_channel × bank_groups` exceeds `usize` — the shape
-    /// validation [`ChannelRankPool::new`] and
-    /// [`ChannelRankPool::with_bank_groups`] enforce by panic.
-    pub fn try_units(&self) -> Result<usize, PoolIdError> {
+    /// ranks_per_channel` exceeds `usize` — the shape validation
+    /// [`FilterPool::new`] enforces by panic.
+    fn try_units(&self) -> Result<usize, PoolIdError> {
         self.channels
             .checked_mul(self.ranks_per_channel)
-            .and_then(|v| v.checked_mul(self.bank_groups))
             .ok_or(PoolIdError::Overflow)
-    }
-}
-
-impl FilterPool for ChannelRankPool {
-    fn units(&self) -> usize {
-        self.channels * self.ranks_per_channel * self.bank_groups
-    }
-
-    fn unit(&self, u: usize) -> FilterUnit {
-        assert!(u < self.units(), "unit {u} out of range ({})", self.units());
-        let bank_group = u % self.bank_groups;
-        let whole = u / self.bank_groups;
-        FilterUnit {
-            channel: whole / self.ranks_per_channel,
-            rank: whole % self.ranks_per_channel,
-            bank_group,
-        }
-    }
-
-    fn channels(&self) -> usize {
-        self.channels
     }
 }
 
@@ -274,32 +184,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_dimm_pool_is_the_identity_on_ranks() {
-        let p = SingleDimmPool::new(7);
-        assert_eq!(p.units(), 7);
-        assert_eq!(p.channels(), 1);
+    fn pool_ids_are_channel_major_and_invertible() {
+        // One channel is the single-DIMM rank vector: unit == rank.
+        let one = FilterPool::new(1, 7);
+        assert_eq!(one.units(), 7);
+        assert_eq!(one.channels(), 1);
         for u in 0..7 {
             assert_eq!(
-                p.unit(u),
+                one.unit(u),
                 FilterUnit {
                     channel: 0,
-                    rank: u,
-                    bank_group: 0
+                    rank: u
                 }
             );
         }
-    }
 
-    #[test]
-    fn channel_rank_pool_ids_are_channel_major_and_invertible() {
-        let p = ChannelRankPool::new(4, 3);
+        let p = FilterPool::new(4, 3);
         assert_eq!(p.units(), 12);
         assert_eq!(p.channels(), 4);
         let mut seen = std::collections::HashSet::new();
         for u in 0..p.units() {
             let fu = p.unit(u);
-            assert!(fu.channel < 4 && fu.rank < 3 && fu.bank_group == 0);
-            assert_eq!(p.id_of(fu.channel, fu.rank, fu.bank_group), Ok(u));
+            assert!(fu.channel < 4 && fu.rank < 3);
+            assert_eq!(p.id_of(fu.channel, fu.rank), Ok(u));
             assert!(seen.insert(fu), "ids are distinct coordinates");
         }
         // Channel-major: consecutive ids walk ranks within a channel.
@@ -309,33 +216,10 @@ mod tests {
     }
 
     #[test]
-    fn one_channel_pool_matches_single_dimm_pool() {
-        let a = SingleDimmPool::new(5);
-        let b = ChannelRankPool::new(1, 5);
-        assert_eq!(a.units(), b.units());
-        for u in 0..a.units() {
-            assert_eq!(a.unit(u), b.unit(u));
-        }
-    }
-
-    #[test]
-    fn bank_groups_multiply_the_pool() {
-        let p = ChannelRankPool::new(2, 2).with_bank_groups(4);
-        assert_eq!(p.units(), 16);
-        let fu = p.unit(p.id_of(1, 0, 3).unwrap());
-        assert_eq!((fu.channel, fu.rank, fu.bank_group), (1, 0, 3));
-        // All 16 coordinates are distinct and round-trip.
-        for u in 0..p.units() {
-            let fu = p.unit(u);
-            assert_eq!(p.id_of(fu.channel, fu.rank, fu.bank_group), Ok(u));
-        }
-    }
-
-    #[test]
     fn id_of_rejects_out_of_shape_coordinates() {
-        let p = ChannelRankPool::new(2, 3).with_bank_groups(2);
+        let p = FilterPool::new(2, 3);
         assert_eq!(
-            p.id_of(2, 0, 0),
+            p.id_of(2, 0),
             Err(PoolIdError::OutOfRange {
                 axis: "channel",
                 index: 2,
@@ -343,19 +227,11 @@ mod tests {
             })
         );
         assert_eq!(
-            p.id_of(0, 3, 0),
+            p.id_of(0, 3),
             Err(PoolIdError::OutOfRange {
                 axis: "rank",
                 index: 3,
                 extent: 3
-            })
-        );
-        assert_eq!(
-            p.id_of(1, 2, 2),
-            Err(PoolIdError::OutOfRange {
-                axis: "bank_group",
-                index: 2,
-                extent: 2
             })
         );
     }
@@ -363,31 +239,28 @@ mod tests {
     #[test]
     fn id_arithmetic_errors_at_the_overflow_boundary() {
         // A shape whose id arithmetic is exactly at the usize boundary:
-        // 2 channels × (usize::MAX/2) ranks. The last valid coordinate
-        // maps to usize::MAX - ... fine; one channel further would wrap.
+        // 2 channels × (usize::MAX/2) ranks.
         let half = usize::MAX / 2;
-        let p = ChannelRankPool {
+        let p = FilterPool {
             channels: 2,
             ranks_per_channel: half,
-            bank_groups: 1,
         };
         // In-shape extremes still map without wrapping.
-        assert_eq!(p.id_of(1, half - 1, 0), Ok(2 * half - 1));
+        assert_eq!(p.id_of(1, half - 1), Ok(2 * half - 1));
         assert_eq!(p.try_units(), Ok(2 * half));
-        // A shape one bank-group split away from overflow is caught as a
-        // typed error, not a wrapped id: 2 × MAX/2 × 2 > usize::MAX.
-        let wide = ChannelRankPool {
-            channels: 2,
+        // One channel further overflows, and is caught as a typed error,
+        // not a wrapped id: 3 × MAX/2 > usize::MAX.
+        let wide = FilterPool {
+            channels: 3,
             ranks_per_channel: half,
-            bank_groups: 2,
         };
         assert_eq!(wide.try_units(), Err(PoolIdError::Overflow));
-        assert_eq!(wide.id_of(1, half - 1, 1), Err(PoolIdError::Overflow));
+        assert_eq!(wide.id_of(2, half - 1), Err(PoolIdError::Overflow));
     }
 
     #[test]
     #[should_panic(expected = "at least one unit")]
     fn empty_pool_rejected() {
-        SingleDimmPool::new(0);
+        FilterPool::new(1, 0);
     }
 }

@@ -96,7 +96,7 @@ impl QueryRecord {
 /// One filter unit's slice of the availability picture: how long it sat
 /// outside the schedulable pool and how its canary probes went. A unit is
 /// one entry of the serve run's [`crate::pool::FilterPool`] — on a
-/// single-DIMM pool `unit == rank` with `channel == 0`.
+/// one-channel pool `unit == rank` with `channel == 0`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UnitAvailability {
     /// The pool unit id.

@@ -4,14 +4,16 @@
 //! [`System::serve`](crate::System::serve) drives the serving engine over
 //! one DIMM's rank vector; a [`ServeCluster`] widens the schedulable pool
 //! across `C` memory channels (one [`jafar_memctl::MultiChannel`] channel
-//! per [`jafar_dram::DramModule`]) behind a
-//! [`jafar_serve::ChannelRankPool`]. Every channel carries the *same*
-//! channel-local layout — replica, bitset buffer and projection buffer at
-//! identical channel-local addresses, contiguous within the channel and
-//! never word-interleaved across channels — so each unit's shard run is
+//! per [`jafar_dram::DramModule`]) behind a `C`-channel
+//! [`jafar_serve::FilterPool`], and serves through the same layout code
+//! as `System`. Every channel carries the *same* channel-local layout —
+//! replica, bitset, projection and staging buffers at identical
+//! channel-local addresses, contiguous within the channel and never
+//! word-interleaved across channels — so each unit's shard run is
 //! byte-for-byte the run a single-channel machine would do, and the
 //! engine's byte-identity guarantee carries over unchanged (asserted by
-//! `tests/pool_identity.rs`).
+//! `tests/pool_identity.rs`). The carved buffers are handed back after
+//! every serve.
 //!
 //! The channel count is validated through the same typed-error path as
 //! `MultiChannel` itself: a non-power-of-two count comes back as
@@ -19,15 +21,15 @@
 //! event on the cluster's tracer — the sim configuration path never
 //! panics on bad user input.
 
-use crate::alloc::SimAlloc;
 use crate::config::SystemConfig;
+use crate::layout::{recovery, ServeLayout};
 use jafar_common::obs::{Event, EventKind, RingTracer, SharedTracer};
-use jafar_core::{DriverStats, JafarDevice, ResilienceConfig, ResilientDriver};
-use jafar_dram::{DramModule, FaultInjector, FaultPlan, FaultStats, PhysAddr};
+use jafar_core::DriverStats;
+use jafar_dram::{DramModule, FaultInjector, FaultPlan, FaultStats};
 use jafar_memctl::controller::MemoryController;
 use jafar_memctl::{ChannelConfigError, MultiChannel};
-use jafar_serve::engine::{out_lanes, run_serve, ServeConfig, ServeEnv};
-use jafar_serve::{ChannelRankPool, FilterPool, SchedPolicy, ServeReport, Workload};
+use jafar_serve::engine::{out_lanes, run_serve, ServeConfig};
+use jafar_serve::{FilterPool, SchedPolicy, ServeReport, Workload};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -51,17 +53,13 @@ pub struct ClusterServeRun {
 /// configured geometry/timing/mapping, every rank but the last per
 /// channel is an NDP unit (the last stays CPU-private, mirroring the
 /// single-DIMM convention), and unit ids are channel-major per
-/// [`ChannelRankPool`].
+/// [`FilterPool`].
 pub struct ServeCluster {
     cfg: SystemConfig,
     mc: MultiChannel,
-    pool: ChannelRankPool,
-    devices: Vec<JafarDevice>,
-    /// Per-unit channel-local arenas; `arenas[u]` allocates within rank
-    /// `pool.unit(u).rank` of channel `pool.unit(u).channel`. Identical
-    /// allocation sequences per channel keep channel-local addresses
-    /// identical across channels.
-    arenas: Vec<SimAlloc>,
+    /// Identical allocation sequences per channel keep channel-local
+    /// addresses identical across channels.
+    layout: ServeLayout,
     tracer: SharedTracer,
     trace_ring: Option<Rc<RefCell<RingTracer>>>,
 }
@@ -83,9 +81,10 @@ impl ServeCluster {
         channels: usize,
         tracer: SharedTracer,
     ) -> Result<Self, ChannelConfigError> {
-        let device = cfg
-            .device
-            .expect("serving requires a JAFAR device (SystemConfig::device)");
+        assert!(
+            cfg.device.is_some(),
+            "serving requires a JAFAR device (SystemConfig::device)"
+        );
         let controllers: Vec<MemoryController> = (0..channels)
             .map(|_| {
                 MemoryController::new(
@@ -107,22 +106,10 @@ impl ServeCluster {
                 return Err(e);
             }
         };
-        let rank_bytes = cfg.dram_geometry.rank_bytes();
-        let ranks_per_channel = (cfg.dram_geometry.ranks as usize).saturating_sub(1).max(1);
-        let pool = ChannelRankPool::new(channels, ranks_per_channel);
-        let mut arenas = Vec::with_capacity(pool.units());
-        for u in 0..pool.units() {
-            let rank = pool.unit(u).rank as u64;
-            arenas.push(SimAlloc::new(PhysAddr(rank * rank_bytes), rank_bytes));
-        }
         Ok(ServeCluster {
-            devices: (0..pool.units())
-                .map(|_| JafarDevice::new(device))
-                .collect(),
+            layout: ServeLayout::new(&cfg, channels),
             cfg,
             mc,
-            pool,
-            arenas,
             tracer,
             trace_ring: None,
         })
@@ -143,8 +130,8 @@ impl ServeCluster {
     }
 
     /// The pool topology this cluster schedules over.
-    pub fn pool(&self) -> &ChannelRankPool {
-        &self.pool
+    pub fn pool(&self) -> &FilterPool {
+        &self.layout.pool
     }
 
     /// Number of memory channels.
@@ -185,7 +172,8 @@ impl ServeCluster {
     /// is replicated into every unit's arena (identical channel-local
     /// addresses on every channel), one persistent resilient driver is
     /// built per unit, and the engine schedules across all channels in
-    /// one event loop — rescued shards may migrate across channels.
+    /// one event loop — rescued shards may migrate across channels. The
+    /// replicas and buffers are handed back when the serve ends.
     ///
     /// # Panics
     /// Panics if `values` is empty or a unit arena cannot hold a replica
@@ -213,68 +201,23 @@ impl ServeCluster {
         cfg: &ServeConfig,
     ) -> ClusterServeRun {
         assert!(!values.is_empty(), "cannot serve an empty column");
-        let rows = values.len() as u64;
-        let nunits = self.pool.units();
-        let mut replicas = Vec::with_capacity(nunits);
-        let mut outs = Vec::with_capacity(nunits);
-        let mut proj_outs = Vec::with_capacity(nunits);
-        let mut stage_outs = Vec::with_capacity(nunits);
-        {
-            let mut modules = self.mc.modules_mut();
-            for u in 0..nunits {
-                let ch = self.pool.unit(u).channel;
-                let col = self.arenas[u].alloc_blocks(rows * 8);
-                for (i, &v) in values.iter().enumerate() {
-                    modules[ch]
-                        .data_mut()
-                        .write_i64(PhysAddr(col.0 + i as u64 * 8), v);
-                }
-                replicas.push(col);
-                // One bitset lane per fuse slot — or per semi-join key
-                // range, whichever is wider (engine addresses lane `l`
-                // at `out + l * stride`); fuse_window=1 with no
-                // semi-joins is the historical single-lane size.
-                let stride = rows.div_ceil(8).next_multiple_of(64);
-                outs.push(self.arenas[u].alloc_blocks((stride * out_lanes(cfg, workload)).max(64)));
-                proj_outs.push(self.arenas[u].alloc_blocks(rows * 8));
-                // Group-by staging: worst case every row lands on this
-                // unit, each group padded to a 64-byte kernel boundary.
-                stage_outs.push(self.arenas[u].alloc_blocks(rows * 8 + 64));
-            }
-        }
-        let rcfg = ResilienceConfig {
-            costs: self.cfg.driver,
-            page_bytes: self.cfg.page_bytes,
-            ..cfg.resilience
-        };
-        let mut drivers: Vec<ResilientDriver> = (0..nunits)
-            .map(|_| {
-                let mut d = ResilientDriver::new(rcfg);
-                d.set_tracer(self.tracer.clone());
-                d
-            })
-            .collect();
-        let report = run_serve(
-            ServeEnv {
-                modules: self.mc.modules_mut(),
-                pool: &self.pool,
-                devices: &mut self.devices,
-                drivers: &mut drivers,
-                replicas: &replicas,
-                outs: &outs,
-                proj_outs: &proj_outs,
-                values,
-                keys,
-                stage_outs: &stage_outs,
-                tracer: &self.tracer,
-            },
-            workload,
-            policy,
-            cfg,
+        let carve = self
+            .layout
+            .carve(&mut self.mc.modules_mut(), values, out_lanes(cfg, workload));
+        let mut drivers = self.layout.drivers(&self.cfg, cfg, &self.tracer);
+        let env = self.layout.env(
+            self.mc.modules_mut(),
+            &mut drivers,
+            &carve,
+            values,
+            keys,
+            &self.tracer,
         );
+        let report = run_serve(env, workload, policy, cfg);
+        self.layout.release(carve);
         ClusterServeRun {
             report,
-            recovery: drivers.iter().map(|d| *d.stats()).collect(),
+            recovery: recovery(&drivers),
             faults: (0..self.mc.num_channels())
                 .map(|ch| self.mc.channel(ch).module().fault_stats().copied())
                 .collect(),
@@ -363,7 +306,7 @@ mod tests {
             ServeCluster::new(SystemConfig::test_small(), 2, SharedTracer::disabled())
                 .expect("2 channels");
         // Kill channel 1's rank 0 — exactly one pool unit.
-        let sick = cluster.pool().id_of(1, 0, 0).expect("in-shape unit");
+        let sick = cluster.pool().id_of(1, 0).expect("in-shape unit");
         cluster
             .inject_faults_on_channel(1, FaultPlan::none(7).with_outage(0, Tick::ZERO, Tick::MAX));
         let run = cluster.serve(&vals, &workload, SchedPolicy::Fifo, &ServeConfig::default());
@@ -386,5 +329,28 @@ mod tests {
             "channel 1's outage rejected the unit's commands"
         );
         assert!(run.faults[0].is_none(), "channel 0 has no injector");
+    }
+
+    #[test]
+    fn repeated_serves_hand_back_their_memory() {
+        use crate::layout::soak;
+
+        let (vals, keys, workload) = soak::inputs();
+        let mut cluster =
+            ServeCluster::new(soak::config(), 2, SharedTracer::disabled()).expect("2 channels");
+        soak::check(|start| {
+            let before = soak::cursors(&cluster.layout);
+            let run = cluster.serve_with_keys(
+                &vals,
+                &keys,
+                &workload,
+                SchedPolicy::Fifo,
+                &ServeConfig {
+                    start,
+                    ..ServeConfig::default()
+                },
+            );
+            (before, soak::cursors(&cluster.layout), run.report.records)
+        });
     }
 }

@@ -9,28 +9,31 @@
 //! [`jafar_net::NetFabric`] link and driven by
 //! [`jafar_serve::cluster::run_cluster`].
 //!
-//! Every node replays the **identical node-local allocation sequence**:
-//! the column replica, bitset buffer and projection buffer land at the
-//! same node-local physical addresses on every node (the grid analogue
-//! of `ServeCluster`'s identical channel-local layout). Combined with
-//! the fabric's label-split jitter streams, a query served on node `k`
-//! of an N-node grid runs byte-for-byte the device program it would run
-//! on a single-node grid — which is what lets `tests/cluster_identity.rs`
-//! assert per-record byte identity between cluster and solo runs.
+//! Every node serves through the same single-DIMM layout as
+//! [`System`](crate::System) and replays the **identical node-local
+//! allocation sequence**: the column replica and the bitset, projection
+//! and staging buffers land at the same node-local physical addresses on
+//! every node (the grid analogue of `ServeCluster`'s identical
+//! channel-local layout), and every node hands them back after the
+//! serve. Combined with the fabric's label-split jitter streams, a query
+//! served on node `k` of an N-node grid runs byte-for-byte the device
+//! program it would run on a single-node grid — which is what lets
+//! `tests/cluster_identity.rs` assert per-record byte identity between
+//! cluster and solo runs.
 //!
 //! Fault domains are per node: [`ServeGrid::inject_faults_on_node`]
 //! installs a plan on one node's module only, and the cluster report's
 //! per-node availability ledgers stay confined to that node.
 
-use crate::alloc::SimAlloc;
 use crate::config::SystemConfig;
+use crate::layout::{recovery, Carve, ServeLayout};
 use jafar_common::obs::{Event, RingTracer, SharedTracer};
-use jafar_core::{DriverStats, JafarDevice, ResilienceConfig, ResilientDriver};
-use jafar_dram::{DramModule, FaultInjector, FaultPlan, FaultStats, PhysAddr};
+use jafar_core::{DriverStats, ResilientDriver};
+use jafar_dram::{DramModule, FaultInjector, FaultPlan, FaultStats};
 use jafar_net::{NetFabric, Placement};
 use jafar_serve::cluster::{cluster_fabric, run_cluster, ClusterConfig, ClusterEnv, ClusterReport};
 use jafar_serve::engine::{out_lanes, ServeConfig, ServeEnv};
-use jafar_serve::{FilterPool, SchedPolicy, SingleDimmPool, Workload};
+use jafar_serve::{SchedPolicy, Workload};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -50,11 +53,9 @@ pub struct GridServeRun {
 /// One memory node's machine: a single-DIMM serving box.
 struct GridNode {
     module: DramModule,
-    pool: SingleDimmPool,
-    devices: Vec<JafarDevice>,
-    /// Per-unit rank-confined arenas; the allocation sequence is
-    /// identical on every node, so node-local addresses replay exactly.
-    arenas: Vec<SimAlloc>,
+    /// The allocation sequence is identical on every node, so node-local
+    /// addresses replay exactly.
+    layout: ServeLayout,
 }
 
 /// `N` disaggregated memory nodes served behind one host frontend.
@@ -77,19 +78,14 @@ impl ServeGrid {
     /// Panics if `nodes == 0` or `cfg` has no JAFAR device.
     pub fn new(cfg: SystemConfig, nodes: usize, tracer: SharedTracer) -> Self {
         assert!(nodes > 0, "a grid needs at least one memory node");
-        let device = cfg
-            .device
-            .expect("serving requires a JAFAR device (SystemConfig::device)");
-        let rank_bytes = cfg.dram_geometry.rank_bytes();
-        let units = (cfg.dram_geometry.ranks as usize).saturating_sub(1).max(1);
+        assert!(
+            cfg.device.is_some(),
+            "serving requires a JAFAR device (SystemConfig::device)"
+        );
         let nodes = (0..nodes)
             .map(|_| GridNode {
                 module: DramModule::new(cfg.dram_geometry, cfg.dram_timing, cfg.mapping),
-                pool: SingleDimmPool::new(units),
-                devices: (0..units).map(|_| JafarDevice::new(device)).collect(),
-                arenas: (0..units as u64)
-                    .map(|r| SimAlloc::new(PhysAddr(r * rank_bytes), rank_bytes))
-                    .collect(),
+                layout: ServeLayout::new(&cfg, 1),
             })
             .collect();
         ServeGrid {
@@ -117,7 +113,7 @@ impl ServeGrid {
 
     /// NDP filter units per node.
     pub fn units_per_node(&self) -> usize {
-        self.nodes[0].pool.units()
+        self.nodes[0].layout.pool.units()
     }
 
     /// The standard star fabric for this grid (one datacenter link per
@@ -162,6 +158,7 @@ impl ServeGrid {
     /// Non-holder nodes still get the replica written (placement is a
     /// routing contract, not a storage optimisation in this model) so a
     /// placement change never changes any node's allocation replay.
+    /// Every node hands its replica and buffers back when the serve ends.
     ///
     /// # Panics
     /// Panics if `values` is empty, a unit arena cannot hold a replica
@@ -202,48 +199,14 @@ impl ServeGrid {
         ccfg: &ClusterConfig,
     ) -> GridServeRun {
         assert!(!values.is_empty(), "cannot serve an empty column");
-        let rows = values.len() as u64;
-        let rcfg = ResilienceConfig {
-            costs: self.cfg.driver,
-            page_bytes: self.cfg.page_bytes,
-            ..cfg.resilience
-        };
+        let lanes = out_lanes(cfg, workload);
         // Pass 1: identical allocation replay + column write on every
         // node; per-node driver banks.
-        type NodeLayout = (Vec<PhysAddr>, Vec<PhysAddr>, Vec<PhysAddr>, Vec<PhysAddr>);
-        let mut layouts: Vec<NodeLayout> = Vec::new();
-        let mut drivers: Vec<Vec<ResilientDriver>> = Vec::new();
+        let mut carves: Vec<Carve> = Vec::with_capacity(self.nodes.len());
+        let mut drivers: Vec<Vec<ResilientDriver>> = Vec::with_capacity(self.nodes.len());
         for node in &mut self.nodes {
-            let units = node.pool.units();
-            let mut replicas = Vec::with_capacity(units);
-            let mut outs = Vec::with_capacity(units);
-            let mut proj_outs = Vec::with_capacity(units);
-            let mut stage_outs = Vec::with_capacity(units);
-            for arena in &mut node.arenas {
-                let col = arena.alloc_blocks(rows * 8);
-                for (i, &v) in values.iter().enumerate() {
-                    node.module
-                        .data_mut()
-                        .write_i64(PhysAddr(col.0 + i as u64 * 8), v);
-                }
-                replicas.push(col);
-                let stride = rows.div_ceil(8).next_multiple_of(64);
-                outs.push(arena.alloc_blocks((stride * out_lanes(cfg, workload)).max(64)));
-                proj_outs.push(arena.alloc_blocks(rows * 8));
-                // Group-by staging: worst case every row lands on this
-                // unit, each group padded to a 64-byte kernel boundary.
-                stage_outs.push(arena.alloc_blocks(rows * 8 + 64));
-            }
-            layouts.push((replicas, outs, proj_outs, stage_outs));
-            drivers.push(
-                (0..units)
-                    .map(|_| {
-                        let mut d = ResilientDriver::new(rcfg);
-                        d.set_tracer(self.tracer.clone());
-                        d
-                    })
-                    .collect(),
-            );
+            carves.push(node.layout.carve(&mut [&mut node.module], values, lanes));
+            drivers.push(node.layout.drivers(&self.cfg, cfg, &self.tracer));
         }
         // Pass 2: borrow each node's machine into its ServeEnv and run
         // the cluster frontend over all of them.
@@ -252,22 +215,11 @@ impl ServeGrid {
             .nodes
             .iter_mut()
             .zip(drivers.iter_mut())
-            .zip(layouts.iter())
-            .map(
-                |((node, drv), (replicas, outs, proj_outs, stage_outs))| ServeEnv {
-                    modules: vec![&mut node.module],
-                    pool: &node.pool,
-                    devices: &mut node.devices,
-                    drivers: drv,
-                    replicas,
-                    outs,
-                    proj_outs,
-                    values,
-                    keys,
-                    stage_outs,
-                    tracer,
-                },
-            )
+            .zip(&carves)
+            .map(|((node, drv), carve)| {
+                node.layout
+                    .env(vec![&mut node.module], drv, carve, values, keys, tracer)
+            })
             .collect();
         let report = run_cluster(
             ClusterEnv {
@@ -282,12 +234,12 @@ impl ServeGrid {
             ccfg,
         )
         .unwrap_or_else(|inv| panic!("engine invariant violated: {inv}"));
+        for (node, carve) in self.nodes.iter_mut().zip(carves) {
+            node.layout.release(carve);
+        }
         GridServeRun {
             report,
-            recovery: drivers
-                .iter()
-                .map(|bank| bank.iter().map(|d| *d.stats()).collect())
-                .collect(),
+            recovery: drivers.iter().map(|bank| recovery(bank)).collect(),
             faults: self
                 .nodes
                 .iter()
@@ -403,5 +355,38 @@ mod tests {
             "node 1's injector rejected commands"
         );
         assert!(run.faults[0].is_none(), "node 0 has no injector");
+    }
+
+    #[test]
+    fn repeated_serves_hand_back_their_memory() {
+        use crate::layout::soak;
+
+        let (vals, keys, workload) = soak::inputs();
+        let mut grid = ServeGrid::new(soak::config(), 2, SharedTracer::disabled());
+        let cursors = |grid: &ServeGrid| -> Vec<_> {
+            grid.nodes
+                .iter()
+                .flat_map(|n| soak::cursors(&n.layout))
+                .collect()
+        };
+        soak::check(|start| {
+            let before = cursors(&grid);
+            let mut fabric = grid.fabric(0x50AF);
+            let run = grid.serve_with_keys(
+                &vals,
+                &keys,
+                &Placement::hot(2),
+                &mut fabric,
+                &workload,
+                SchedPolicy::Fifo,
+                &ServeConfig {
+                    start,
+                    ..ServeConfig::default()
+                },
+                &ClusterConfig::default(),
+            );
+            let records = run.report.queries.into_iter().map(|q| q.record).collect();
+            (before, cursors(&grid), records)
+        });
     }
 }

@@ -37,6 +37,7 @@ pub mod cluster;
 pub mod config;
 pub mod energy;
 pub mod grid;
+mod layout;
 pub mod replay;
 pub mod system;
 
