@@ -39,16 +39,24 @@ impl Dddg {
     pub fn expand(kernel: &Kernel, iterations: u64, unroll: u64) -> Self {
         assert!(unroll >= 1, "unroll factor must be at least 1");
         kernel.validate();
-        let mut nodes: Vec<Node> = Vec::new();
-        // Maps body-op index -> global node index, for the previous
-        // iteration (for carried edges) and the current one.
-        let mut prev_iter: Vec<Option<u32>> = vec![None; kernel.body.len()];
+        let body = kernel.body.len();
+        // Per body op, the ops whose previous-iteration copy feeds it.
+        let mut carried_into: Vec<Vec<usize>> = vec![Vec::new(); body];
+        for &(from, to) in &kernel.carried {
+            carried_into[to].push(from);
+        }
+        let groups = iterations.div_ceil(unroll);
+        let per_group = kernel.work_ops() as u64 * unroll + (body - kernel.work_ops()) as u64;
+        let mut nodes: Vec<Node> = Vec::with_capacity((groups * per_group) as usize);
+        // Maps body-op index -> global node index: the latest copy so far
+        // (feeding carried edges) and the current iteration's copy.
+        let mut group_last: Vec<Option<u32>> = vec![None; body];
+        let mut this_iter: Vec<Option<u32>> = vec![None; body];
         let mut done = 0u64;
         while done < iterations {
             let group = unroll.min(iterations - done);
-            let mut group_last: Vec<Option<u32>> = prev_iter.clone();
             for u in 0..group {
-                let mut this_iter: Vec<Option<u32>> = vec![None; kernel.body.len()];
+                this_iter.fill(None);
                 for (i, op) in kernel.body.iter().enumerate() {
                     // Induction ops appear once per unrolled group.
                     if op.induction && u != 0 {
@@ -57,20 +65,10 @@ impl Dddg {
                         this_iter[i] = group_last[i];
                         continue;
                     }
-                    let mut preds = Vec::with_capacity(op.deps.len() + 1);
-                    for &d in &op.deps {
-                        if let Some(p) = this_iter[d] {
-                            preds.push(p);
-                        }
-                    }
+                    let mut preds = Vec::with_capacity(op.deps.len() + carried_into[i].len());
+                    preds.extend(op.deps.iter().filter_map(|&d| this_iter[d]));
                     // Loop-carried edges from the previous iteration.
-                    for &(from, to) in &kernel.carried {
-                        if to == i {
-                            if let Some(p) = group_last[from] {
-                                preds.push(p);
-                            }
-                        }
-                    }
+                    preds.extend(carried_into[i].iter().filter_map(|&from| group_last[from]));
                     nodes.push(Node {
                         kind: op.kind,
                         preds,
@@ -78,13 +76,12 @@ impl Dddg {
                     });
                     this_iter[i] = Some((nodes.len() - 1) as u32);
                 }
-                for (i, v) in this_iter.iter().enumerate() {
+                for (last, v) in group_last.iter_mut().zip(&this_iter) {
                     if v.is_some() {
-                        group_last[i] = *v;
+                        *last = *v;
                     }
                 }
             }
-            prev_iter = group_last;
             done += group;
         }
         Dddg { nodes, iterations }

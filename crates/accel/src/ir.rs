@@ -197,6 +197,43 @@ pub fn jafar_filter_kernel() -> Kernel {
     b.build()
 }
 
+/// The §4 aggregation loop body: load a word and fold it into a
+/// loop-carried accumulator. `filtered` adds the combined range filter
+/// in front of the fold: both bound compares, their AND, and a predicated
+/// select of the word (or zero) into the accumulating add.
+pub fn jafar_aggregate_kernel(filtered: bool) -> Kernel {
+    let mut b = KernelBuilder::new();
+    let inc = b.induction(OpKind::Add, &[]);
+    let load = b.op(OpKind::Load, &[]);
+    let acc = if filtered {
+        let c1 = b.op(OpKind::ICmp, &[load]);
+        let c2 = b.op(OpKind::ICmp, &[load]);
+        let and = b.op(OpKind::And, &[c1, c2]);
+        let sel = b.op(OpKind::Select, &[load, and]);
+        b.op(OpKind::Add, &[sel])
+    } else {
+        b.op(OpKind::Add, &[load])
+    };
+    b.carry(acc, acc);
+    b.carry(inc, inc);
+    b.build()
+}
+
+/// The §4 bounded-bucket hash group-by loop body: two loads per row (key
+/// and value), the pipelined fixed-function hash of the key, a bucket-tag
+/// compare and the bucket update.
+pub fn jafar_group_by_kernel() -> Kernel {
+    let mut b = KernelBuilder::new();
+    let key = b.op(OpKind::Load, &[]);
+    let val = b.op(OpKind::Load, &[]);
+    let h = b.op(OpKind::Hash, &[key]);
+    let cmp = b.op(OpKind::ICmp, &[h]);
+    b.op(OpKind::Add, &[cmp, val]);
+    let inc = b.induction(OpKind::Add, &[]);
+    b.carry(inc, inc);
+    b.build()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

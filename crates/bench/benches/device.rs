@@ -1,10 +1,11 @@
 //! Micro-benchmarks of the JAFAR device simulation and the Aladdin-like
 //! scheduler it derives its throughput from.
 
-use jafar_accel::ir::jafar_filter_kernel;
+use jafar_accel::ir::{jafar_aggregate_kernel, jafar_filter_kernel};
 use jafar_accel::{Dddg, Resources, Schedule};
 use jafar_bench::micro;
 use jafar_common::time::Tick;
+use jafar_core::aggregate::{AggOp, AggregateJob};
 use jafar_core::{grant_ownership, JafarDevice, Predicate, SelectJob};
 use jafar_dram::{AddressMapping, DramGeometry, DramModule, DramTiming, PhysAddr};
 
@@ -43,6 +44,41 @@ fn main() {
         },
     );
 
+    // One filtered aggregate call: the per-call cost the serving engine
+    // pays for every SelectCount/SelectAgg page.
+    micro::run_batched(
+        "device/aggregate_512_rows",
+        || {
+            let mut module = DramModule::new(
+                DramGeometry::tiny(),
+                DramTiming::ddr3_paper().without_refresh(),
+                AddressMapping::RankRowBankBlock,
+            );
+            for i in 0..512u64 {
+                module
+                    .data_mut()
+                    .write_i64(PhysAddr(i * 8), (i % 1000) as i64);
+            }
+            let lease = grant_ownership(&mut module, 0, Tick::ZERO).expect("fresh");
+            let t0 = lease.acquired_at;
+            (module, JafarDevice::paper_default(), t0)
+        },
+        |(mut module, mut device, t0)| {
+            device
+                .run_aggregate(
+                    &mut module,
+                    AggregateJob {
+                        col_addr: PhysAddr(0),
+                        rows: 512,
+                        op: AggOp::Sum,
+                        filter: Some(Predicate::Between(100, 499)),
+                    },
+                    t0,
+                )
+                .expect("owned")
+        },
+    );
+
     let kernel = jafar_filter_kernel();
     micro::run("accel/schedule_1k_iterations", || {
         let graph = Dddg::expand(&kernel, 1024, 8);
@@ -50,5 +86,11 @@ fn main() {
     });
     micro::run("accel/steady_state_ii", || {
         Schedule::steady_state_ii(&kernel, &Resources::jafar_default(), 8)
+    });
+    // The filtered fold: its four ALU ops per word keep the longest ready
+    // backlog of the four device kernels.
+    let filtered_agg = jafar_aggregate_kernel(true);
+    micro::run("accel/steady_state_ii_filtered_agg", || {
+        Schedule::steady_state_ii(&filtered_agg, &Resources::jafar_default(), 8)
     });
 }

@@ -19,7 +19,9 @@
 //!   at least the unfused rate on the contention burst, and batched
 //!   admission processing no more events than one-at-a-time draining
 //!   (wall-clock throughput fields are checked for finiteness only —
-//!   they are machine-dependent);
+//!   they are machine-dependent), plus one machine-independent
+//!   wall-clock gate: the mixed-open stream's wall query rate must be at
+//!   least 0.3× the unfused select burst's (`wall_ratio.mixed_over_select`);
 //! - the join artifact's acceptance gates: the Q3/Q13-shaped mix served
 //!   at least one semi-join and one keyed group-by with nothing lost,
 //!   the skew-aware split sustained ≥ 1.3× the naive-hash service rate
@@ -297,6 +299,17 @@ fn check_engine(c: &mut Check, doc: &Json) {
             }
         }
         c.finite(cont, "fused_multiple");
+    }
+    if let Some(ratio) = c
+        .require(doc, "wall_ratio")
+        .and_then(|r| c.finite(r, "mixed_over_select"))
+    {
+        if ratio < 0.3 {
+            c.fail(format!(
+                "mixed-open ran at only {ratio}x the unfused select burst's wall query \
+                 rate (< 0.3x): a per-call cost has crept into the operator path"
+            ));
+        }
     }
     if let Some(batching) = c.require(doc, "batching") {
         let batched = c.finite(batching, "batched_events");

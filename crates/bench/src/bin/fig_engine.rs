@@ -17,8 +17,16 @@
 //! - **select-burst (unbatched)**: the same burst with one arrival per
 //!   engine event, pinning the event-count saving of batched admission.
 //!
+//! Each scenario runs [`REPS`] times and reports its fastest wall time.
+//! Absolute wall numbers depend on the host, but their ratio does not:
+//! `wall_ratio.mixed_over_select` is the mixed-open wall query rate over
+//! the unfused select burst's, and `bench_check` fails it below 0.3 — a
+//! per-call cost on the operator path (such as re-scheduling a datapath
+//! kernel on every aggregate) drags it far under that floor.
+//!
 //! The run persists `BENCH_engine.json` every time; `bench_check`
-//! validates its schema and the two deterministic invariants in CI.
+//! validates its schema, the two deterministic invariants and the
+//! wall-clock ratio in CI.
 //!
 //! Usage: `fig_engine [--queries N] [--smoke]`
 
@@ -31,6 +39,9 @@ use jafar_sim::{System, SystemConfig};
 use std::time::Instant;
 
 const SEED: u64 = 0xE961;
+
+/// Repetitions per scenario; the fastest wall time is reported.
+const REPS: usize = 3;
 
 /// The §4 operator set the mixed stream cycles through.
 const OP_MIX: [QueryOp; 6] = [
@@ -74,11 +85,22 @@ fn run_scenario(
     workload: &Workload,
     cfg: &ServeConfig,
 ) -> Scenario {
-    let mut sys = system();
-    let t0 = Instant::now();
-    let run = sys.serve(values, workload, SchedPolicy::Fifo, cfg);
-    let wall = t0.elapsed().as_secs_f64().max(1e-9);
-    let report = &run.report;
+    let mut wall = f64::INFINITY;
+    let mut reports = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
+        let mut sys = system();
+        let t0 = Instant::now();
+        let run = sys.serve(values, workload, SchedPolicy::Fifo, cfg);
+        wall = wall.min(t0.elapsed().as_secs_f64().max(1e-9));
+        reports.push(run.report);
+    }
+    let report = &reports[0];
+    assert!(
+        reports
+            .iter()
+            .all(|r| (r.events, r.makespan) == (report.events, report.makespan)),
+        "{name}: repetitions must simulate identically"
+    );
     let n = report.records.len();
     assert_eq!(
         report.completed() + report.shed(),
@@ -187,6 +209,7 @@ fn main() {
         unbatched.events
     );
     let multiple = fused.sim_service_rate_qps / unfused.sim_service_rate_qps;
+    let wall_ratio = scenarios[0].queries_per_sec / unfused.queries_per_sec;
     println!(
         "# fusion: {}x the unfused service rate on the contention burst (window 4);",
         f2(multiple)
@@ -196,6 +219,10 @@ fn main() {
         unfused.events,
         unbatched.events,
         unbatched.events - unfused.events
+    );
+    println!(
+        "# wall: mixed-open runs at {}x the unfused select burst's query rate (gate >= 0.3).",
+        f2(wall_ratio)
     );
 
     let points: Vec<String> = scenarios
@@ -223,13 +250,14 @@ fn main() {
          \"rows\": {rows},\n  \"scenarios\": [\n{}\n  ],\n  \"contention\": {{\"fuse_window\": 4, \
          \"unfused_qps\": {}, \"fused_qps\": {}, \"fused_multiple\": {}}},\n  \
          \"batching\": {{\"batched_events\": {}, \"unbatched_events\": {}}},\n  \
-         \"baseline\": {}\n}}\n",
+         \"wall_ratio\": {{\"mixed_over_select\": {}}},\n  \"baseline\": {}\n}}\n",
         points.join(",\n"),
         jnum(unfused.sim_service_rate_qps),
         jnum(fused.sim_service_rate_qps),
         jnum(multiple),
         unfused.events,
         unbatched.events,
+        jnum(wall_ratio),
         carry_baseline("BENCH_engine.json"),
     );
     write_bench_json("BENCH_engine.json", &body);

@@ -29,7 +29,7 @@ fn main() {
     // --- T1: per-access datapath arithmetic. -------------------------------
     let device = JafarDevice::paper_default();
     let timing = DramTiming::ddr3_paper();
-    let ps_per_word = device.ps_per_word();
+    let ps_per_word = device.rates().filter;
     let process_8 = Tick::from_ps(8 * ps_per_word);
     let cas = timing.cl;
     let waiting = cas.saturating_sub(process_8);

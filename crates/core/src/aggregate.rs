@@ -16,8 +16,6 @@
 
 use crate::device::{DeviceError, JafarDevice};
 use crate::predicate::Predicate;
-use jafar_accel::ir::{KernelBuilder, OpKind};
-use jafar_accel::schedule::Schedule;
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
 
@@ -50,7 +48,7 @@ pub struct AggregateJob {
 }
 
 /// Result of a scalar aggregation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AggregateRun {
     /// Completion tick.
     pub end: Tick,
@@ -81,7 +79,7 @@ pub struct GroupByJob {
 }
 
 /// Result of a group-by pass.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroupByRun {
     /// Completion tick.
     pub end: Tick,
@@ -98,29 +96,6 @@ pub fn hash_bucket(key: i64, buckets: usize) -> usize {
     debug_assert!(buckets.is_power_of_two());
     let h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     (h >> (64 - buckets.trailing_zeros())) as usize % buckets
-}
-
-/// Derives the per-word rate (ps) of an aggregation datapath from its
-/// kernel schedule, on the device's clock and resources.
-fn agg_ps_per_word(device: &JafarDevice, filtered: bool) -> u64 {
-    let mut b = KernelBuilder::new();
-    let inc = b.induction(OpKind::Add, &[]);
-    let load = b.op(OpKind::Load, &[]);
-    let acc = if filtered {
-        let c1 = b.op(OpKind::ICmp, &[load]);
-        let c2 = b.op(OpKind::ICmp, &[load]);
-        let and = b.op(OpKind::And, &[c1, c2]);
-        let sel = b.op(OpKind::Select, &[load, and]);
-        b.op(OpKind::Add, &[sel])
-    } else {
-        b.op(OpKind::Add, &[load])
-    };
-    b.carry(acc, acc);
-    b.carry(inc, inc);
-    let kernel = b.build();
-    let cfg = device.config();
-    let ii = Schedule::steady_state_ii(&kernel, &cfg.resources, cfg.unroll);
-    (ii * cfg.clock.period().as_ps() as f64).round().max(1.0) as u64
 }
 
 impl JafarDevice {
@@ -141,7 +116,12 @@ impl JafarDevice {
         if !module.rank_owned_by_ndp(rank) {
             return Err(DeviceError::NotOwned);
         }
-        let ps_per_word = agg_ps_per_word(self, job.filter.is_some());
+        let rates = self.rates();
+        let ps_per_word = if job.filter.is_some() {
+            rates.filtered_aggregate
+        } else {
+            rates.aggregate
+        };
         let bounds = job.filter.map(Predicate::bounds);
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;
@@ -202,17 +182,21 @@ impl JafarDevice {
     /// DRAM (the hierarchical approach §4 calls for).
     ///
     /// # Errors
-    /// Same validation as [`JafarDevice::run_select`].
-    ///
-    /// # Panics
-    /// Panics if `buckets` is not a power of two.
+    /// Same validation as [`JafarDevice::run_select`], plus
+    /// [`DeviceError::BucketCount`] when `buckets` is not a power of two.
+    /// A DRAM access that fails mid-stream (an uncorrectable ECC error, a
+    /// refresh storm preempting the rank) aborts the pass with the same
+    /// error `run_select` returns; the spill region may be partially
+    /// written.
     pub fn run_group_by(
         &mut self,
         module: &mut DramModule,
         job: GroupByJob,
         start: Tick,
     ) -> Result<GroupByRun, DeviceError> {
-        assert!(job.buckets.is_power_of_two(), "bucket count must be 2^k");
+        if !job.buckets.is_power_of_two() {
+            return Err(DeviceError::BucketCount);
+        }
         if job.key_addr.block_offset() != 0 || job.val_addr.block_offset() != 0 {
             return Err(DeviceError::Misaligned);
         }
@@ -220,23 +204,7 @@ impl JafarDevice {
         if !module.rank_owned_by_ndp(rank) {
             return Err(DeviceError::NotOwned);
         }
-        // Hash + bucket update pipeline: hash (4 cyc, pipelined) feeding a
-        // compare + add; two loads per row (key + value).
-        let ps_per_word = {
-            let mut b = KernelBuilder::new();
-            let key = b.op(OpKind::Load, &[]);
-            let val = b.op(OpKind::Load, &[]);
-            let h = b.op(OpKind::Hash, &[key]);
-            let cmp = b.op(OpKind::ICmp, &[h]);
-            let upd = b.op(OpKind::Add, &[cmp, val]);
-            let inc = b.induction(OpKind::Add, &[]);
-            b.carry(inc, inc);
-            let _ = upd;
-            let kernel = b.build();
-            let cfg = self.config();
-            let ii = Schedule::steady_state_ii(&kernel, &cfg.resources, cfg.unroll);
-            (ii * cfg.clock.period().as_ps() as f64).round().max(1.0) as u64
-        };
+        let ps_per_word = self.rates().group_by;
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;
 
@@ -251,16 +219,14 @@ impl JafarDevice {
         for burst in 0..total_bursts {
             let mut fetch = |col: PhysAddr, cursor: &mut Tick, free: &mut Tick| {
                 let addr = PhysAddr(col.0 + burst * 64);
-                let access = module
-                    .serve_addr(addr, false, Requester::Ndp, *cursor, None)
-                    .expect("rank validated");
+                let access = module.serve_addr(addr, false, Requester::Ndp, *cursor, None)?;
                 let cas_at = access.data_ready.saturating_sub(cas_pipeline);
                 *cursor = cas_at.max(*cursor) + t.bus_clock.period();
                 *free = (*free).max(access.data_ready);
-                access.data.expect("read")
+                Ok::<_, DeviceError>(access.data.expect("read"))
             };
-            let keys = fetch(job.key_addr, &mut issue_cursor, &mut proc_free);
-            let vals = fetch(job.val_addr, &mut issue_cursor, &mut proc_free);
+            let keys = fetch(job.key_addr, &mut issue_cursor, &mut proc_free)?;
+            let vals = fetch(job.val_addr, &mut issue_cursor, &mut proc_free)?;
             bursts_read += 2;
 
             let words = (job.rows - burst * 8).min(8);
@@ -292,15 +258,13 @@ impl JafarDevice {
                         let mut pair = [0u8; 64];
                         pair[..8].copy_from_slice(&k.to_le_bytes());
                         pair[8..16].copy_from_slice(&v.to_le_bytes());
-                        module
-                            .serve_addr(
-                                PhysAddr(spill_cursor & !63),
-                                true,
-                                Requester::Ndp,
-                                proc_free,
-                                Some(&pair),
-                            )
-                            .expect("rank validated");
+                        module.serve_addr(
+                            PhysAddr(spill_cursor & !63),
+                            true,
+                            Requester::Ndp,
+                            proc_free,
+                            Some(&pair),
+                        )?;
                         spill_cursor += 64;
                         spilled += 1;
                     }
@@ -497,6 +461,47 @@ mod tests {
         m.data().read(PhysAddr(64 * 1024), &mut first);
         let k = i64::from_le_bytes(first[..8].try_into().unwrap());
         assert!((0..64).contains(&k));
+    }
+
+    fn group_by_job(rows: u64, buckets: usize) -> GroupByJob {
+        GroupByJob {
+            key_addr: PhysAddr(0),
+            val_addr: PhysAddr(8192),
+            rows,
+            op: AggOp::Sum,
+            buckets,
+            spill_addr: PhysAddr(64 * 1024),
+        }
+    }
+
+    #[test]
+    fn group_by_surfaces_a_mid_stream_ecc_failure_as_an_error() {
+        use jafar_dram::{FaultInjector, FaultPlan};
+        let (mut d, mut m, t0) = setup();
+        let keys: Vec<i64> = (0..256).map(|i| i % 64).collect();
+        put(&mut m, 0, &keys);
+        put(&mut m, 8192, &[1; 256]);
+        // Every read burst takes a double-bit flip ECC cannot correct.
+        m.set_fault_injector(Some(FaultInjector::new(FaultPlan {
+            read_flip_p: 1.0,
+            double_flip_p: 1.0,
+            ..FaultPlan::none(3)
+        })));
+        let err = d
+            .run_group_by(&mut m, group_by_job(256, 4), t0)
+            .unwrap_err();
+        assert_eq!(err, DeviceError::Uncorrectable);
+    }
+
+    #[test]
+    fn group_by_rejects_bad_bucket_counts() {
+        let (mut d, mut m, t0) = setup();
+        for buckets in [0, 3, 48] {
+            let err = d
+                .run_group_by(&mut m, group_by_job(64, buckets), t0)
+                .unwrap_err();
+            assert_eq!(err, DeviceError::BucketCount, "{buckets} buckets");
+        }
     }
 
     #[test]

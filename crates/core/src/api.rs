@@ -55,6 +55,9 @@ pub mod errno {
     pub const EBUSY: i32 = 16;
     /// Invalid argument: misalignment.
     pub const EINVAL: i32 = 22;
+    /// Argument out of domain: a group-by bucket count that is zero or not
+    /// a power of two.
+    pub const EDOM: i32 = 33;
     /// Not empty: REFRESH/MRS targeted a rank with open rows.
     pub const ENOTEMPTY: i32 = 39;
     /// Protocol error: a ModeRegisterSet was transiently ignored (retry).
@@ -81,6 +84,7 @@ pub fn device_errno(e: DeviceError) -> i32 {
         DeviceError::Uncorrectable => errno::EIO,
         DeviceError::Interrupted => errno::ERESTART,
         DeviceError::LaneOverflow => errno::E2BIG,
+        DeviceError::BucketCount => errno::EDOM,
     }
 }
 
@@ -419,6 +423,7 @@ mod tests {
             DeviceError::Uncorrectable,
             DeviceError::Interrupted,
             DeviceError::LaneOverflow,
+            DeviceError::BucketCount,
         ];
         let issue = [
             IssueError::RankOwnedByNdp,

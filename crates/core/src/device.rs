@@ -20,7 +20,7 @@
 
 use crate::predicate::Predicate;
 use crate::regs::RegisterFile;
-use jafar_accel::ir::jafar_filter_kernel;
+use jafar_accel::ir::{jafar_aggregate_kernel, jafar_filter_kernel, jafar_group_by_kernel, Kernel};
 use jafar_accel::schedule::{Resources, Schedule};
 use jafar_common::bitset::FixedBitBuf;
 use jafar_common::obs::{EventKind, SharedTracer};
@@ -86,6 +86,21 @@ pub enum DeviceError {
     /// comparator array is a fixed hardware resource; the host must split
     /// wider batches itself.
     LaneOverflow,
+    /// A group-by job named a bucket-table size that is zero or not a
+    /// power of two; the multiply-shift hash unit indexes the table with
+    /// the top bits of the hash.
+    BucketCount,
+}
+
+impl From<IssueError> for DeviceError {
+    /// How a failed DRAM access mid-stream surfaces from the device.
+    fn from(e: IssueError) -> Self {
+        match e {
+            IssueError::NdpWithoutOwnership => DeviceError::NotOwned,
+            IssueError::Uncorrectable => DeviceError::Uncorrectable,
+            _ => DeviceError::Interrupted,
+        }
+    }
 }
 
 /// Ceiling on fused predicate lanes per pass.
@@ -200,28 +215,58 @@ pub(crate) fn preopen_row(module: &mut DramModule, addr: PhysAddr, now: Tick) {
     }
 }
 
-/// The device.
+/// Per-word datapath rates in picoseconds per 64-bit word, derived once per
+/// [`DeviceConfig`] from the Aladdin-style schedules of the device's four
+/// kernels (see [`jafar_accel::ir`]) on its clock, resources and unroll.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DatapathRates {
+    /// The range filter: selects, fused selects and the filter-shaped
+    /// extensions (projection, sort, row store, interleaved columns).
+    pub filter: u64,
+    /// An unfiltered scalar aggregate.
+    pub aggregate: u64,
+    /// A scalar aggregate behind the combined range filter.
+    pub filtered_aggregate: u64,
+    /// The bounded-bucket hash group-by, per row.
+    pub group_by: u64,
+}
+
+impl DatapathRates {
+    /// Schedules every device kernel under `config`.
+    fn derive(config: &DeviceConfig) -> Self {
+        let rate = |kernel: Kernel| {
+            let ii = Schedule::steady_state_ii(&kernel, &config.resources, config.unroll);
+            (ii * config.clock.period().as_ps() as f64).round().max(1.0) as u64
+        };
+        DatapathRates {
+            filter: rate(jafar_filter_kernel()),
+            aggregate: rate(jafar_aggregate_kernel(false)),
+            filtered_aggregate: rate(jafar_aggregate_kernel(true)),
+            group_by: rate(jafar_group_by_kernel()),
+        }
+    }
+}
+
+/// The device. Cloning one is the cheap way to build identical devices:
+/// the clone copies the registers and statistics, shares the attached
+/// tracer, and skips re-deriving the rates.
+#[derive(Clone)]
 pub struct JafarDevice {
     config: DeviceConfig,
     regs: RegisterFile,
-    /// Picoseconds per filtered word, derived from the kernel schedule.
-    ps_per_word: u64,
+    rates: DatapathRates,
     stats: DeviceStats,
     tracer: SharedTracer,
 }
 
 impl JafarDevice {
-    /// Builds a device, deriving its per-word throughput from the
-    /// Aladdin-style schedule of the filter kernel.
+    /// Builds a device, deriving its datapath rates from the
+    /// Aladdin-style schedules of its kernels.
     pub fn new(config: DeviceConfig) -> Self {
-        let ii =
-            Schedule::steady_state_ii(&jafar_filter_kernel(), &config.resources, config.unroll);
-        let ps_per_word = (ii * config.clock.period().as_ps() as f64).round() as u64;
-        assert!(ps_per_word > 0, "degenerate device throughput");
         JafarDevice {
             config,
             regs: RegisterFile::new(),
-            ps_per_word,
+            rates: DatapathRates::derive(&config),
             stats: DeviceStats::default(),
             tracer: SharedTracer::disabled(),
         }
@@ -238,7 +283,7 @@ impl JafarDevice {
     /// per 0.5 ns cycle.
     pub fn paper_default() -> Self {
         let d = JafarDevice::new(DeviceConfig::default());
-        debug_assert_eq!(d.ps_per_word, 500, "§2.2: one word per 2 GHz cycle");
+        debug_assert_eq!(d.rates.filter, 500, "§2.2: one word per 2 GHz cycle");
         d
     }
 
@@ -247,9 +292,9 @@ impl JafarDevice {
         &self.config
     }
 
-    /// Derived datapath rate: picoseconds per 64-bit word.
-    pub fn ps_per_word(&self) -> u64 {
-        self.ps_per_word
+    /// The derived datapath rates.
+    pub fn rates(&self) -> &DatapathRates {
+        &self.rates
     }
 
     /// The control register block (host-visible).
@@ -356,17 +401,12 @@ impl JafarDevice {
                     preopen_row(module, PhysAddr(next_block * 64), issue_cursor);
                 }
             }
-            let access = match module.serve_addr(addr, false, Requester::Ndp, issue_cursor, None) {
-                Ok(a) => a,
-                Err(e) => {
+            let access = module
+                .serve_addr(addr, false, Requester::Ndp, issue_cursor, None)
+                .map_err(|e| {
                     self.regs.set_error();
-                    return Err(match e {
-                        IssueError::NdpWithoutOwnership => DeviceError::NotOwned,
-                        IssueError::Uncorrectable => DeviceError::Uncorrectable,
-                        _ => DeviceError::Interrupted,
-                    });
-                }
-            };
+                    DeviceError::from(e)
+                })?;
             bursts_read += 1;
             // Pipelined command issue: the next read may be requested one
             // bus cycle after this one's CAS went out.
@@ -397,7 +437,7 @@ impl JafarDevice {
                     )?;
                 }
             }
-            proc_free += Tick::from_ps(words * self.ps_per_word);
+            proc_free += Tick::from_ps(words * self.rates.filter);
         }
         // Final partial flush.
         if !out_buf.is_empty() {
@@ -528,17 +568,12 @@ impl JafarDevice {
                     preopen_row(module, PhysAddr(next_block * 64), issue_cursor);
                 }
             }
-            let access = match module.serve_addr(addr, false, Requester::Ndp, issue_cursor, None) {
-                Ok(a) => a,
-                Err(e) => {
+            let access = module
+                .serve_addr(addr, false, Requester::Ndp, issue_cursor, None)
+                .map_err(|e| {
                     self.regs.set_error();
-                    return Err(match e {
-                        IssueError::NdpWithoutOwnership => DeviceError::NotOwned,
-                        IssueError::Uncorrectable => DeviceError::Uncorrectable,
-                        _ => DeviceError::Interrupted,
-                    });
-                }
-            };
+                    DeviceError::from(e)
+                })?;
             bursts_read += 1;
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
@@ -570,7 +605,7 @@ impl JafarDevice {
                     }
                 }
             }
-            proc_free += Tick::from_ps(words * self.ps_per_word);
+            proc_free += Tick::from_ps(words * self.rates.filter);
         }
         // Final partial flush per lane.
         for lane in 0..k {
@@ -641,11 +676,7 @@ impl JafarDevice {
                 module.serve_addr(PhysAddr(line_base), true, Requester::Ndp, at, Some(&burst));
             if let Err(e) = served {
                 self.regs.set_error();
-                return Err(match e {
-                    IssueError::NdpWithoutOwnership => DeviceError::NotOwned,
-                    IssueError::Uncorrectable => DeviceError::Uncorrectable,
-                    _ => DeviceError::Interrupted,
-                });
+                return Err(e.into());
             }
             *bursts_written += 1;
             self.tracer.emit(
@@ -701,8 +732,94 @@ mod tests {
         let d = JafarDevice::paper_default();
         // §2.2: "JAFAR can process one [word] per clock cycle (0.5ns) for a
         // total of 4ns" per 8-word access.
-        assert_eq!(d.ps_per_word(), 500);
-        assert_eq!(Tick::from_ps(8 * d.ps_per_word()), Tick::from_ns(4));
+        assert_eq!(d.rates().filter, 500);
+        assert_eq!(Tick::from_ps(8 * d.rates().filter), Tick::from_ns(4));
+    }
+
+    #[test]
+    fn paper_config_derives_every_rate() {
+        // The filter and the unfiltered fold stream one word per cycle; the
+        // filtered fold needs four ALU ops per word on two ALUs, and the
+        // group-by's two loads share the one memory port.
+        assert_eq!(
+            *JafarDevice::paper_default().rates(),
+            DatapathRates {
+                filter: 500,
+                aggregate: 500,
+                filtered_aggregate: 1000,
+                group_by: 1000,
+            }
+        );
+    }
+
+    #[test]
+    fn one_alu_doubles_the_alu_bound_rates() {
+        let config = DeviceConfig {
+            resources: Resources {
+                alus: 1,
+                ..Resources::jafar_default()
+            },
+            ..DeviceConfig::default()
+        };
+        // The filter and the filtered fold are ALU-bound and slow down 2x;
+        // the unfiltered fold has one ALU op per word and keeps its rate;
+        // the group-by becomes ALU-bound at three ALU ops per row.
+        assert_eq!(
+            *JafarDevice::new(config).rates(),
+            DatapathRates {
+                filter: 1000,
+                aggregate: 500,
+                filtered_aggregate: 2000,
+                group_by: 1500,
+            }
+        );
+    }
+
+    #[test]
+    fn cloned_device_runs_byte_identically_to_a_fresh_one() {
+        use crate::aggregate::{AggOp, AggregateJob, GroupByJob};
+        let prototype = JafarDevice::paper_default();
+        let mut rng = SplitMix64::new(41);
+        let values: Vec<i64> = (0..512).map(|_| rng.next_range_inclusive(0, 99)).collect();
+        let run = |mut device: JafarDevice| {
+            let (mut m, t0) = owned_module();
+            put_column(&mut m, 0, &values);
+            put_column(&mut m, 8192, &values);
+            let select = device.run_select(&mut m, job(512, 10, 60), t0).unwrap();
+            let aggregate = device
+                .run_aggregate(
+                    &mut m,
+                    AggregateJob {
+                        col_addr: PhysAddr(0),
+                        rows: 512,
+                        op: AggOp::Sum,
+                        filter: Some(Predicate::Between(10, 60)),
+                    },
+                    select.end,
+                )
+                .unwrap();
+            let group_by = device
+                .run_group_by(
+                    &mut m,
+                    GroupByJob {
+                        key_addr: PhysAddr(0),
+                        val_addr: PhysAddr(8192),
+                        rows: 512,
+                        op: AggOp::Sum,
+                        buckets: 16,
+                        spill_addr: PhysAddr(64 * 1024),
+                    },
+                    aggregate.end,
+                )
+                .unwrap();
+            let mut bytes = vec![0u8; 128 * 1024 + 64];
+            m.data().read(PhysAddr(0), &mut bytes);
+            (select, aggregate, group_by, bytes)
+        };
+        assert_eq!(
+            run(prototype.clone()),
+            run(JafarDevice::new(*prototype.config()))
+        );
     }
 
     #[test]

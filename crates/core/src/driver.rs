@@ -1453,7 +1453,8 @@ impl ResilientDriver {
                 }
                 Err(DeviceError::Misaligned)
                 | Err(DeviceError::SpansRanks)
-                | Err(DeviceError::LaneOverflow) => {
+                | Err(DeviceError::LaneOverflow)
+                | Err(DeviceError::BucketCount) => {
                     // Permanent for this job shape; retrying cannot help.
                     return None;
                 }

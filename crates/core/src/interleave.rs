@@ -139,7 +139,7 @@ impl JafarDevice {
         let (lo, hi) = job.predicate.bounds();
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;
-        let ps_per_word = self.ps_per_word();
+        let ps_per_word = self.rates().filter;
 
         // Pass 1: filter the local slice (dense stream, as usual).
         let mut issue_cursor = start;

@@ -51,8 +51,8 @@ pub use api::{
     FusedSelectArgs, FusedSelectOutcome, SelectArgs, SelectOutcome,
 };
 pub use device::{
-    DeviceConfig, DeviceError, FusedSelectJob, FusedSelectRun, JafarDevice, SelectJob, SelectRun,
-    MAX_FUSED_LANES,
+    DatapathRates, DeviceConfig, DeviceError, FusedSelectJob, FusedSelectRun, JafarDevice,
+    SelectJob, SelectRun, MAX_FUSED_LANES,
 };
 pub use driver::{
     AggregateOutcome, DriverRun, DriverStats, FusedDriverRun, FusedSelectRequest, FusedSession,

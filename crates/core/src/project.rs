@@ -63,7 +63,7 @@ impl JafarDevice {
         }
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;
-        let ps_per_word = self.ps_per_word();
+        let ps_per_word = self.rates().filter;
 
         let mut issue_cursor = start;
         let mut proc_free = start;

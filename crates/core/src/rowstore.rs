@@ -91,7 +91,7 @@ impl JafarDevice {
         // predicates than pairs serialise.
         let pairs = (self.config().resources.alus / 2).max(1) as u64;
         let waves = (job.predicates.len() as u64).div_ceil(pairs).max(1);
-        let ps_per_row = self.ps_per_word() * waves;
+        let ps_per_row = self.rates().filter * waves;
 
         let total_bytes = job.rows * job.row_bytes as u64;
         let total_bursts = total_bytes.div_ceil(64);

@@ -91,7 +91,7 @@ impl JafarDevice {
         }
 
         let k = 64u64; // network width: area-limited (§4)
-        let ps_per_word = self.ps_per_word();
+        let ps_per_word = self.rates().filter;
         let network_depth = {
             // log k · (log k + 1) / 2 pipeline stages.
             let log = k.trailing_zeros() as u64;

@@ -78,7 +78,7 @@ pub(crate) fn wide_rig(channels: usize, ranks_per: u32, seed: u64) -> WideRig {
     WideRig {
         modules,
         pool: FilterPool::new(channels, ranks_per as usize),
-        devices: (0..nunits).map(|_| JafarDevice::paper_default()).collect(),
+        devices: vec![JafarDevice::paper_default(); nunits],
         drivers: (0..nunits)
             .map(|_| ResilientDriver::new(ResilienceConfig::default()))
             .collect(),

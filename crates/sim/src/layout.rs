@@ -56,7 +56,7 @@ impl ServeLayout {
             .map(|u| SimAlloc::new(PhysAddr(pool.unit(u).rank as u64 * rank_bytes), rank_bytes))
             .collect();
         let devices = match cfg.device {
-            Some(d) => (0..pool.units()).map(|_| JafarDevice::new(d)).collect(),
+            Some(d) => vec![JafarDevice::new(d); pool.units()],
             None => Vec::new(),
         };
         ServeLayout {
