@@ -43,6 +43,24 @@ fn main() {
         },
     );
 
+    // The functional store alone: 1024 reads of resident 64-byte bursts
+    // spread over 256 pages, the page-map lookup every DRAM read pays.
+    let mut resident = module();
+    for page in 0..256u64 {
+        resident
+            .data_mut()
+            .write_burst(PhysAddr(page * 4096), &[page as u8; 64]);
+    }
+    micro::run("dram/data_read_burst_resident", || {
+        let data = resident.data();
+        let mut acc = 0u64;
+        for i in 0..1024u64 {
+            let page = black_box(i.wrapping_mul(97) % 256);
+            acc += u64::from(data.read_burst(PhysAddr(page * 4096 + (i % 64) * 64))[0]);
+        }
+        acc
+    });
+
     micro::run_batched("dram/serve_block_random_1k_bursts", module, |mut module| {
         let mut now = Tick::ZERO;
         let mut addr = 0x9E3779B97F4A7C15u64;

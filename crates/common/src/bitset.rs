@@ -224,12 +224,16 @@ impl Iterator for IterOnes<'_> {
 
 /// The fixed *n*-bit result buffer inside the JAFAR device.
 ///
-/// Bits are pushed one per filter operation; when the buffer is full it must
-/// be drained ([`FixedBitBuf::drain_bytes`]) before more bits can be pushed,
-/// mirroring the hardware writeback every *n* cycles.
+/// Bits are pushed one per filter operation ([`FixedBitBuf::push`]) or a
+/// burst's worth at a time ([`FixedBitBuf::push_bits`]); when the buffer is
+/// full it must be drained ([`FixedBitBuf::drain`]) before more bits can be
+/// pushed, mirroring the hardware writeback every *n* cycles. A drain
+/// writes into a byte image the buffer owns, so steady-state streaming
+/// allocates nothing.
 #[derive(Clone)]
 pub struct FixedBitBuf {
     words: Vec<u64>,
+    image: Vec<u8>,
     capacity: usize,
     filled: usize,
 }
@@ -248,6 +252,7 @@ impl FixedBitBuf {
         );
         FixedBitBuf {
             words: vec![0; capacity.div_ceil(WORD_BITS)],
+            image: vec![0; capacity / 8],
             capacity,
             filled: 0,
         }
@@ -279,28 +284,55 @@ impl FixedBitBuf {
     /// Panics if the buffer is full — the device must drain first, exactly
     /// like the hardware writeback.
     pub fn push(&mut self, bit: bool) {
-        assert!(!self.is_full(), "output buffer overflow: drain before push");
-        if bit {
-            self.words[self.filled / WORD_BITS] |= 1u64 << (self.filled % WORD_BITS);
+        self.push_bits(u64::from(bit), 1);
+    }
+
+    /// Pushes the low `n` bits of `mask`, bit 0 first — the outcomes of `n`
+    /// filter operations at once. Equivalent to `n` calls of
+    /// [`FixedBitBuf::push`] with `mask >> i & 1`; bits of `mask` above `n`
+    /// are ignored.
+    ///
+    /// # Panics
+    /// Panics if `n > 64` or if fewer than `n` bits are free: a caller that
+    /// pushes whole bursts relies on the capacity being a multiple of its
+    /// burst width, and this is where that is checked.
+    pub fn push_bits(&mut self, mask: u64, n: usize) {
+        assert!(n <= WORD_BITS, "at most {WORD_BITS} bits per push, got {n}");
+        assert!(
+            n <= self.capacity - self.filled,
+            "output buffer overflow: drain before push"
+        );
+        if n == 0 {
+            return;
         }
-        self.filled += 1;
+        let mask = mask & (u64::MAX >> (WORD_BITS - n));
+        let word = self.filled / WORD_BITS;
+        let shift = self.filled % WORD_BITS;
+        self.words[word] |= mask << shift;
+        if shift + n > WORD_BITS {
+            // Straddles a word boundary; `filled + n <= capacity` keeps
+            // `word + 1` in range.
+            self.words[word + 1] |= mask >> (WORD_BITS - shift);
+        }
+        self.filled += n;
     }
 
     /// Drains the buffered bits as little-endian bytes (the DRAM writeback
     /// image) and resets the buffer. Partial fills drain `ceil(filled/8)`
-    /// bytes, which is how the final, possibly short, flush works.
-    pub fn drain_bytes(&mut self) -> Vec<u8> {
+    /// bytes, which is how the final, possibly short, flush works. The
+    /// returned slice borrows the buffer's own image until the next call.
+    pub fn drain(&mut self) -> &[u8] {
         let nbytes = self.filled.div_ceil(8);
-        let mut out = vec![0u8; nbytes];
-        for (w, chunk) in self.words.iter().zip(out.chunks_mut(8)) {
-            let le = w.to_le_bytes();
-            chunk.copy_from_slice(&le[..chunk.len()]);
-        }
-        for w in &mut self.words {
+        for (w, chunk) in self
+            .words
+            .iter_mut()
+            .zip(self.image[..nbytes].chunks_mut(8))
+        {
+            chunk.copy_from_slice(&w.to_le_bytes()[..chunk.len()]);
             *w = 0;
         }
         self.filled = 0;
-        out
+        &self.image[..nbytes]
     }
 }
 
@@ -427,7 +459,7 @@ mod tests {
             buf.push(i % 3 == 0);
         }
         assert!(buf.is_full());
-        let bytes = buf.drain_bytes();
+        let bytes = buf.drain().to_vec();
         assert_eq!(bytes.len(), 2);
         let set = BitSet::from_bytes(&bytes, 16);
         let expect: Vec<u32> = (0..16).filter(|i| i % 3 == 0).collect();
@@ -436,8 +468,7 @@ mod tests {
         // Buffer is reusable after drain.
         buf.push(true);
         assert_eq!(buf.filled(), 1);
-        let tail = buf.drain_bytes();
-        assert_eq!(tail, vec![1u8]);
+        assert_eq!(buf.drain(), &[1u8]);
     }
 
     #[test]
@@ -446,8 +477,7 @@ mod tests {
         for _ in 0..9 {
             buf.push(true);
         }
-        let bytes = buf.drain_bytes();
-        assert_eq!(bytes, vec![0xFF, 0x01]);
+        assert_eq!(buf.drain(), &[0xFF, 0x01]);
     }
 
     #[test]
@@ -457,6 +487,45 @@ mod tests {
         for _ in 0..9 {
             buf.push(false);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn fixed_buf_push_bits_overflow_panics() {
+        let mut buf = FixedBitBuf::new(16);
+        buf.push_bits(u64::MAX, 9);
+        buf.push_bits(u64::MAX, 8);
+    }
+
+    #[test]
+    fn push_bits_equals_n_single_pushes() {
+        use crate::check::forall;
+        forall("push_bits == n x push", 200, |rng| {
+            let capacity = 8 * (1 + rng.next_below(128) as usize);
+            let mut chunked = FixedBitBuf::new(capacity);
+            let mut single = FixedBitBuf::new(capacity);
+            let total = rng.next_below(4 * capacity as u64 + 1);
+            let mut pushed = 0u64;
+            while pushed < total {
+                let room = chunked.capacity() - chunked.filled();
+                let n = (rng.next_below(65) as usize)
+                    .min(room)
+                    .min((total - pushed) as usize);
+                // Bits above `n` are noise the buffer must ignore.
+                let mask = rng.next_u64();
+                chunked.push_bits(mask, n);
+                for i in 0..n {
+                    single.push(mask >> i & 1 == 1);
+                }
+                pushed += n as u64;
+                assert_eq!(chunked.filled(), single.filled());
+                if chunked.is_full() {
+                    assert_eq!(chunked.drain(), single.drain(), "full drain at {pushed}");
+                }
+            }
+            assert_eq!(chunked.drain(), single.drain(), "final drain at {pushed}");
+            assert!(chunked.is_empty() && single.is_empty());
+        });
     }
 
     #[test]

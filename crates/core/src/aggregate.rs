@@ -102,7 +102,9 @@ impl JafarDevice {
     /// Streams a scalar aggregation over an owned rank.
     ///
     /// # Errors
-    /// Same validation as [`JafarDevice::run_select`].
+    /// Same validation as [`JafarDevice::run_select`]. A DRAM access that
+    /// fails mid-stream returns the same error `run_select` returns (e.g.
+    /// [`DeviceError::Uncorrectable`] for a double-bit ECC failure).
     pub fn run_aggregate(
         &mut self,
         module: &mut DramModule,
@@ -135,9 +137,7 @@ impl JafarDevice {
         let total_bursts = job.rows.div_ceil(8);
         for burst in 0..total_bursts {
             let addr = PhysAddr(job.col_addr.0 + burst * 64);
-            let access = module
-                .serve_addr(addr, false, Requester::Ndp, issue_cursor, None)
-                .map_err(|_| DeviceError::NotOwned)?;
+            let access = module.serve_addr(addr, false, Requester::Ndp, issue_cursor, None)?;
             bursts_read += 1;
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
@@ -491,6 +491,31 @@ mod tests {
             .run_group_by(&mut m, group_by_job(256, 4), t0)
             .unwrap_err();
         assert_eq!(err, DeviceError::Uncorrectable);
+    }
+
+    #[test]
+    fn filtered_aggregate_surfaces_a_mid_stream_ecc_failure_as_an_error() {
+        use jafar_dram::{FaultInjector, FaultPlan};
+        let (mut d, mut m, t0) = setup();
+        put(&mut m, 0, &(0..256).collect::<Vec<i64>>());
+        m.set_fault_injector(Some(FaultInjector::new(FaultPlan {
+            read_flip_p: 1.0,
+            double_flip_p: 1.0,
+            ..FaultPlan::none(3)
+        })));
+        let job = AggregateJob {
+            col_addr: PhysAddr(0),
+            rows: 256,
+            op: AggOp::Sum,
+            filter: Some(Predicate::Between(10, 99)),
+        };
+        // An ECC failure, not an ownership loss: the resilient driver
+        // counts it as uncorrectable and retries instead of dropping the
+        // lease.
+        assert_eq!(
+            d.run_aggregate(&mut m, job, t0).unwrap_err(),
+            DeviceError::Uncorrectable
+        );
     }
 
     #[test]

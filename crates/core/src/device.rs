@@ -215,6 +215,25 @@ pub(crate) fn preopen_row(module: &mut DramModule, addr: PhysAddr, now: Tick) {
     }
 }
 
+/// Decodes the eight little-endian `i64` words of one 64-byte burst — the
+/// burst latch §2.2's comparator lanes read from.
+pub(crate) fn decode_burst(data: &[u8; 64]) -> [i64; 8] {
+    std::array::from_fn(|w| i64::from_le_bytes(data[w * 8..w * 8 + 8].try_into().expect("8 bytes")))
+}
+
+/// One comparator lane over one latched burst: bit `w` of the result is
+/// `lo <= words[w] && words[w] <= hi` for the first `n` words (`n <= 8`),
+/// and every higher bit is clear. Branch-free, so its host cost does not
+/// depend on the data or the selectivity.
+pub(crate) fn burst_mask(words: &[i64; 8], n: usize, lo: i64, hi: i64) -> u64 {
+    debug_assert!(n <= 8, "a burst holds at most 8 words");
+    let mut mask = 0u64;
+    for (w, &v) in words.iter().enumerate() {
+        mask |= u64::from((lo <= v) & (v <= hi)) << w;
+    }
+    mask & ((1u64 << n) - 1)
+}
+
 /// Per-word datapath rates in picoseconds per 64-bit word, derived once per
 /// [`DeviceConfig`] from the Aladdin-style schedules of the device's four
 /// kernels (see [`jafar_accel::ir`]) on its clock, resources and unroll.
@@ -413,36 +432,42 @@ impl JafarDevice {
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
 
-            let data = access.data.expect("read returns data");
             let ready = access.data_ready;
             if ready > proc_free {
                 dram_wait += ready - proc_free;
                 proc_free = ready;
             }
             let words = (job.rows - burst * 8).min(8);
-            for w in 0..words {
-                let off = (w * 8) as usize;
-                let v = i64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-                let hit = lo <= v && v <= hi;
-                matched += u64::from(hit);
-                out_buf.push(hit);
-                if out_buf.is_full() {
-                    let bytes = out_buf.drain_bytes();
-                    out_cursor = self.write_bitset_chunk(
-                        module,
-                        out_cursor,
-                        &bytes,
-                        proc_free,
-                        &mut bursts_written,
-                    )?;
-                }
+            let values = decode_burst(&access.data.expect("read returns data"));
+            // The burst's bits enter the buffer at once. Its capacity is a
+            // multiple of 8 bits and every burst but the last holds 8
+            // words, so the buffer can only fill on a burst's last word
+            // and drains at this burst's `proc_free`, like §2.2's
+            // writeback every n cycles. `push_bits` panics if a burst
+            // ever fails to fit.
+            let mask = burst_mask(&values, words as usize, lo, hi);
+            matched += u64::from(mask.count_ones());
+            out_buf.push_bits(mask, words as usize);
+            if out_buf.is_full() {
+                out_cursor = self.write_bitset_chunk(
+                    module,
+                    out_cursor,
+                    out_buf.drain(),
+                    proc_free,
+                    &mut bursts_written,
+                )?;
             }
             proc_free += Tick::from_ps(words * self.rates.filter);
         }
         // Final partial flush.
         if !out_buf.is_empty() {
-            let bytes = out_buf.drain_bytes();
-            self.write_bitset_chunk(module, out_cursor, &bytes, proc_free, &mut bursts_written)?;
+            self.write_bitset_chunk(
+                module,
+                out_cursor,
+                out_buf.drain(),
+                proc_free,
+                &mut bursts_written,
+            )?;
         }
 
         self.regs.set_done(matched);
@@ -578,43 +603,39 @@ impl JafarDevice {
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
 
-            let data = access.data.expect("read returns data");
             let ready = access.data_ready;
             if ready > proc_free {
                 dram_wait += ready - proc_free;
                 proc_free = ready;
             }
             let words = (job.rows - burst * 8).min(8);
-            for w in 0..words {
-                let off = (w * 8) as usize;
-                let v = i64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-                for lane in 0..k {
-                    let (lo, hi) = bounds[lane];
-                    let hit = lo <= v && v <= hi;
-                    matched[lane] += u64::from(hit);
-                    out_bufs[lane].push(hit);
-                    if out_bufs[lane].is_full() {
-                        let bytes = out_bufs[lane].drain_bytes();
-                        out_cursors[lane] = self.write_bitset_chunk(
-                            module,
-                            out_cursors[lane],
-                            &bytes,
-                            proc_free,
-                            &mut bursts_written,
-                        )?;
-                    }
+            let values = decode_burst(&access.data.expect("read returns data"));
+            // Every lane has pushed the same number of bits, so all lanes
+            // fill on the same burst and drain at its `proc_free` in lane
+            // order (see `run_select` for why a drain falls on a burst).
+            for (lane, &(lo, hi)) in bounds.iter().enumerate() {
+                let mask = burst_mask(&values, words as usize, lo, hi);
+                matched[lane] += u64::from(mask.count_ones());
+                out_bufs[lane].push_bits(mask, words as usize);
+                if out_bufs[lane].is_full() {
+                    out_cursors[lane] = self.write_bitset_chunk(
+                        module,
+                        out_cursors[lane],
+                        out_bufs[lane].drain(),
+                        proc_free,
+                        &mut bursts_written,
+                    )?;
                 }
             }
             proc_free += Tick::from_ps(words * self.rates.filter);
         }
         // Final partial flush per lane.
-        for lane in 0..k {
-            if !out_bufs[lane].is_empty() {
-                let bytes = out_bufs[lane].drain_bytes();
+        for (out_buf, &out_cursor) in out_bufs.iter_mut().zip(&out_cursors) {
+            if !out_buf.is_empty() {
                 self.write_bitset_chunk(
                     module,
-                    out_cursors[lane],
-                    &bytes,
+                    out_cursor,
+                    out_buf.drain(),
                     proc_free,
                     &mut bursts_written,
                 )?;
@@ -650,7 +671,7 @@ impl JafarDevice {
     /// read-modified-written so neighbouring bitset bytes written by
     /// earlier flushes survive, while full lines are written outright.
     /// Returns the advanced output cursor.
-    fn write_bitset_chunk(
+    pub(crate) fn write_bitset_chunk(
         &mut self,
         module: &mut DramModule,
         out_cursor: u64,
@@ -1032,6 +1053,90 @@ mod tests {
             m.data().read(fj.out_addrs[lane], &mut got);
             assert_eq!(&got, bytes, "lane {lane} bitset bytes");
         }
+    }
+
+    #[test]
+    fn burst_mask_equals_per_word_comparisons() {
+        use jafar_common::check::forall;
+        let extremes = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        forall("burst_mask == per-word range test", 500, |rng| {
+            let pick = |rng: &mut SplitMix64| match rng.next_below(4) {
+                0 => extremes[rng.next_below(extremes.len() as u64) as usize],
+                1 => rng.next_u64() as i64,
+                _ => rng.next_range_inclusive(-20, 20),
+            };
+            let mut data = [0u8; 64];
+            for w in 0..8 {
+                data[w * 8..w * 8 + 8].copy_from_slice(&pick(rng).to_le_bytes());
+            }
+            // Unordered on purpose: `lo > hi` is an empty range.
+            let (lo, hi) = (pick(rng), pick(rng));
+            let n = rng.next_below(9) as usize;
+            let words = decode_burst(&data);
+            let mut expect = 0u64;
+            for (w, chunk) in data.chunks(8).enumerate().take(n) {
+                let v = i64::from_le_bytes(chunk.try_into().unwrap());
+                assert_eq!(words[w], v);
+                if lo <= v && v <= hi {
+                    expect |= 1 << w;
+                }
+            }
+            assert_eq!(
+                burst_mask(&words, n, lo, hi),
+                expect,
+                "lo {lo} hi {hi} n {n}"
+            );
+        });
+    }
+
+    #[test]
+    fn fused_lanes_equal_solo_runs_for_any_buffer_and_tail() {
+        use jafar_common::check::forall;
+        forall("fused lane == solo run", 24, |rng| {
+            // A row count with a partial last burst, and any byte-aligned
+            // output buffer, so drains land mid-line and the tail is short.
+            let rows = 8 * rng.next_below(300) + 1 + rng.next_below(7);
+            let out_buf_bits = 8 * (1 + rng.next_below(128) as usize);
+            let config = DeviceConfig {
+                out_buf_bits,
+                ..DeviceConfig::default()
+            };
+            let values: Vec<i64> = (0..rows)
+                .map(|_| rng.next_range_inclusive(-100, 100))
+                .collect();
+            let lanes = 1 + rng.next_below(MAX_FUSED_LANES as u64) as usize;
+            let preds: Vec<(i64, i64)> = (0..lanes)
+                .map(|_| {
+                    (
+                        rng.next_range_inclusive(-120, 120),
+                        rng.next_range_inclusive(-120, 120),
+                    )
+                })
+                .collect();
+            let nbytes = (rows as usize).div_ceil(8);
+            let (mut m, t0) = owned_module();
+            put_column(&mut m, 0, &values);
+            let fj = fused_job(rows, &preds);
+            let run = JafarDevice::new(config)
+                .run_select_fused(&mut m, &fj, t0)
+                .unwrap();
+            for (lane, &(lo, hi)) in preds.iter().enumerate() {
+                let (mut solo_m, t0) = owned_module();
+                put_column(&mut solo_m, 0, &values);
+                let solo = JafarDevice::new(config)
+                    .run_select(&mut solo_m, job(rows, lo, hi), t0)
+                    .unwrap();
+                let mut expect = vec![0u8; nbytes];
+                solo_m.data().read(PhysAddr(128 * 1024), &mut expect);
+                let mut got = vec![0u8; nbytes];
+                m.data().read(fj.out_addrs[lane], &mut got);
+                assert_eq!(run.matched[lane], solo.matched, "lane {lane} count");
+                assert_eq!(
+                    got, expect,
+                    "lane {lane} bitset ({out_buf_bits}-bit buffer)"
+                );
+            }
+        });
     }
 
     #[test]

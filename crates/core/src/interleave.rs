@@ -10,7 +10,7 @@
 //! the alternative (the storage engine shuffling columns to be physically
 //! contiguous per DIMM) exists.
 
-use crate::device::{DeviceError, JafarDevice};
+use crate::device::{burst_mask, decode_burst, DeviceError, JafarDevice};
 use crate::predicate::Predicate;
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
@@ -149,28 +149,26 @@ impl JafarDevice {
         let mut local_bits: Vec<bool> = Vec::with_capacity(job.local_rows as usize);
         let total_bursts = job.local_rows.div_ceil(8);
         for burst in 0..total_bursts {
-            let access = module
-                .serve_addr(
-                    PhysAddr(job.local_col_addr.0 + burst * 64),
-                    false,
-                    Requester::Ndp,
-                    issue_cursor,
-                    None,
-                )
-                .map_err(|_| DeviceError::NotOwned)?;
+            let access = module.serve_addr(
+                PhysAddr(job.local_col_addr.0 + burst * 64),
+                false,
+                Requester::Ndp,
+                issue_cursor,
+                None,
+            )?;
             bursts_read += 1;
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
             proc_free = proc_free.max(access.data_ready);
-            let data = access.data.expect("read");
             let words = (job.local_rows - burst * 8).min(8);
-            for w in 0..words {
-                let off = (w * 8) as usize;
-                let v = i64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-                let hit = lo <= v && v <= hi;
-                matched += u64::from(hit);
-                local_bits.push(hit);
-            }
+            let mask = burst_mask(
+                &decode_burst(&access.data.expect("read")),
+                words as usize,
+                lo,
+                hi,
+            );
+            matched += u64::from(mask.count_ones());
+            local_bits.extend((0..words).map(|w| mask >> w & 1 == 1));
             proc_free += Tick::from_ps(words * ps_per_word);
         }
 
@@ -182,16 +180,12 @@ impl JafarDevice {
         let mut bursts_written = 0u64;
         for ob in 0..out_bursts {
             let addr = PhysAddr(job.out_addr.0 + ob * 64);
-            let access = module
-                .serve_addr(addr, false, Requester::Ndp, proc_free, None)
-                .map_err(|_| DeviceError::NotOwned)?;
+            let access = module.serve_addr(addr, false, Requester::Ndp, proc_free, None)?;
             rmw_reads += 1;
             proc_free = proc_free.max(access.data_ready);
             let mut burst = access.data.expect("read");
             merge_masked_bits(&mut burst, &local_bits, ob * 512, job.ways, job.phase);
-            module
-                .serve_addr(addr, true, Requester::Ndp, proc_free, Some(&burst))
-                .expect("rank validated");
+            module.serve_addr(addr, true, Requester::Ndp, proc_free, Some(&burst))?;
             bursts_written += 1;
             proc_free += t.t_burst;
         }
@@ -266,6 +260,29 @@ mod tests {
         for byte in burst {
             assert_eq!(byte, 0b1010_1010);
         }
+    }
+
+    #[test]
+    fn interleaved_select_surfaces_a_mid_stream_ecc_failure_as_an_error() {
+        use jafar_dram::{FaultInjector, FaultPlan};
+        let (mut d, mut m, t0) = setup();
+        m.set_fault_injector(Some(FaultInjector::new(FaultPlan {
+            read_flip_p: 1.0,
+            double_flip_p: 1.0,
+            ..FaultPlan::none(3)
+        })));
+        let job = InterleavedSelectJob {
+            local_col_addr: PhysAddr(0),
+            local_rows: 64,
+            predicate: Predicate::Lt(50),
+            out_addr: PhysAddr(64 * 1024),
+            ways: 2,
+            phase: 0,
+        };
+        assert_eq!(
+            d.run_select_interleaved(&mut m, job, t0).unwrap_err(),
+            DeviceError::Uncorrectable
+        );
     }
 
     #[test]

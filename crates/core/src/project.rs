@@ -82,30 +82,26 @@ impl JafarDevice {
             // this data burst covers rows 8*burst .. 8*burst+7.
             let bitset_burst = burst * 8 / 512;
             if bitset_cache.map(|(b, _)| b) != Some(bitset_burst) {
-                let access = module
-                    .serve_addr(
-                        PhysAddr(job.bitset_addr.0 + bitset_burst * 64),
-                        false,
-                        Requester::Ndp,
-                        issue_cursor,
-                        None,
-                    )
-                    .map_err(|_| DeviceError::NotOwned)?;
+                let access = module.serve_addr(
+                    PhysAddr(job.bitset_addr.0 + bitset_burst * 64),
+                    false,
+                    Requester::Ndp,
+                    issue_cursor,
+                    None,
+                )?;
                 bursts_read += 1;
                 let cas_at = access.data_ready.saturating_sub(cas_pipeline);
                 issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
                 proc_free = proc_free.max(access.data_ready);
                 bitset_cache = Some((bitset_burst, access.data.expect("read")));
             }
-            let access = module
-                .serve_addr(
-                    PhysAddr(job.col_addr.0 + burst * 64),
-                    false,
-                    Requester::Ndp,
-                    issue_cursor,
-                    None,
-                )
-                .map_err(|_| DeviceError::NotOwned)?;
+            let access = module.serve_addr(
+                PhysAddr(job.col_addr.0 + burst * 64),
+                false,
+                Requester::Ndp,
+                issue_cursor,
+                None,
+            )?;
             bursts_read += 1;
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
@@ -124,15 +120,13 @@ impl JafarDevice {
                     out_fill += 8;
                     emitted += 1;
                     if out_fill == 64 {
-                        module
-                            .serve_addr(
-                                PhysAddr(out_cursor),
-                                true,
-                                Requester::Ndp,
-                                proc_free,
-                                Some(&out_buf),
-                            )
-                            .expect("rank validated");
+                        module.serve_addr(
+                            PhysAddr(out_cursor),
+                            true,
+                            Requester::Ndp,
+                            proc_free,
+                            Some(&out_buf),
+                        )?;
                         bursts_written += 1;
                         out_cursor += 64;
                         out_fill = 0;
@@ -143,15 +137,13 @@ impl JafarDevice {
             proc_free += Tick::from_ps(words * ps_per_word);
         }
         if out_fill > 0 {
-            module
-                .serve_addr(
-                    PhysAddr(out_cursor),
-                    true,
-                    Requester::Ndp,
-                    proc_free,
-                    Some(&out_buf),
-                )
-                .expect("rank validated");
+            module.serve_addr(
+                PhysAddr(out_cursor),
+                true,
+                Requester::Ndp,
+                proc_free,
+                Some(&out_buf),
+            )?;
             bursts_written += 1;
         }
 
@@ -245,6 +237,31 @@ mod tests {
             assert_eq!(got, *want, "slot {i}");
         }
         assert!(proj.end > sel.end);
+    }
+
+    #[test]
+    fn project_surfaces_a_mid_stream_ecc_failure_as_an_error() {
+        use jafar_dram::{FaultInjector, FaultPlan};
+        let (mut d, mut m, t0) = setup();
+        put(&mut m, 0, &[5i64; 128]);
+        m.set_fault_injector(Some(FaultInjector::new(FaultPlan {
+            read_flip_p: 1.0,
+            double_flip_p: 1.0,
+            ..FaultPlan::none(3)
+        })));
+        let err = d
+            .run_project(
+                &mut m,
+                ProjectJob {
+                    col_addr: PhysAddr(0),
+                    rows: 128,
+                    bitset_addr: PhysAddr(16 * 1024),
+                    out_addr: PhysAddr(32 * 1024),
+                },
+                t0,
+            )
+            .unwrap_err();
+        assert_eq!(err, DeviceError::Uncorrectable);
     }
 
     #[test]

@@ -109,15 +109,13 @@ impl JafarDevice {
         // precondition (row_bytes divides 64 or is a multiple of it).
         let mut pending: Vec<u8> = Vec::with_capacity(job.row_bytes as usize);
         for burst in 0..total_bursts {
-            let access = module
-                .serve_addr(
-                    PhysAddr(job.base.0 + burst * 64),
-                    false,
-                    Requester::Ndp,
-                    issue_cursor,
-                    None,
-                )
-                .map_err(|_| DeviceError::NotOwned)?;
+            let access = module.serve_addr(
+                PhysAddr(job.base.0 + burst * 64),
+                false,
+                Requester::Ndp,
+                issue_cursor,
+                None,
+            )?;
             bursts_read += 1;
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
@@ -137,22 +135,13 @@ impl JafarDevice {
                 matched += u64::from(hit);
                 out_buf.push(hit);
                 if out_buf.is_full() {
-                    let bytes = out_buf.drain_bytes();
-                    for chunk in bytes.chunks(64) {
-                        let mut b = [0u8; 64];
-                        b[..chunk.len()].copy_from_slice(chunk);
-                        module
-                            .serve_addr(
-                                PhysAddr(out_cursor & !63),
-                                true,
-                                Requester::Ndp,
-                                proc_free,
-                                Some(&b),
-                            )
-                            .expect("rank validated");
-                        bursts_written += 1;
-                        out_cursor += chunk.len() as u64;
-                    }
+                    out_cursor = self.write_bitset_chunk(
+                        module,
+                        out_cursor,
+                        out_buf.drain(),
+                        proc_free,
+                        &mut bursts_written,
+                    )?;
                 }
                 proc_free += Tick::from_ps(ps_per_row);
                 consumed += stride;
@@ -161,22 +150,13 @@ impl JafarDevice {
             pending.drain(..consumed);
         }
         if !out_buf.is_empty() {
-            let bytes = out_buf.drain_bytes();
-            for chunk in bytes.chunks(64) {
-                let mut b = [0u8; 64];
-                b[..chunk.len()].copy_from_slice(chunk);
-                module
-                    .serve_addr(
-                        PhysAddr(out_cursor & !63),
-                        true,
-                        Requester::Ndp,
-                        proc_free,
-                        Some(&b),
-                    )
-                    .expect("rank validated");
-                bursts_written += 1;
-                out_cursor += chunk.len() as u64;
-            }
+            self.write_bitset_chunk(
+                module,
+                out_cursor,
+                out_buf.drain(),
+                proc_free,
+                &mut bursts_written,
+            )?;
         }
 
         Ok(RowFilterRun {
@@ -259,6 +239,62 @@ mod tests {
         let mut bytes = vec![0u8; 600usize.div_ceil(8)];
         m.data().read(job.out_addr, &mut bytes);
         assert_eq!(BitSet::from_bytes(&bytes, 600).to_positions(), expect);
+    }
+
+    #[test]
+    fn row_filter_surfaces_a_mid_stream_ecc_failure_as_an_error() {
+        use jafar_dram::{FaultInjector, FaultPlan};
+        let (mut d, mut m, t0) = setup();
+        put_rows(&mut m, 0, &vec![vec![1, 2, 3, 4]; 64]);
+        m.set_fault_injector(Some(FaultInjector::new(FaultPlan {
+            read_flip_p: 1.0,
+            double_flip_p: 1.0,
+            ..FaultPlan::none(3)
+        })));
+        let job = RowFilterJob {
+            base: PhysAddr(0),
+            row_bytes: 32,
+            rows: 64,
+            predicates: vec![ColPredicate {
+                offset: 0,
+                predicate: Predicate::Le(4),
+            }],
+            out_addr: PhysAddr(64 * 1024),
+        };
+        assert_eq!(
+            d.run_row_filter(&mut m, &job, t0).unwrap_err(),
+            DeviceError::Uncorrectable
+        );
+    }
+
+    #[test]
+    fn small_output_buffer_keeps_earlier_bitset_bytes() {
+        // A 136-bit buffer drains 17 bytes at a time, so every drain after
+        // the first lands mid-line and must merge into that line rather
+        // than overwrite it from its start.
+        let (_, mut m, t0) = setup();
+        let mut d = JafarDevice::new(crate::device::DeviceConfig {
+            out_buf_bits: 136,
+            ..Default::default()
+        });
+        let rows: Vec<Vec<i64>> = (0..400).map(|i| vec![i % 3, 0, 0, 0]).collect();
+        put_rows(&mut m, 0, &rows);
+        let job = RowFilterJob {
+            base: PhysAddr(0),
+            row_bytes: 32,
+            rows: 400,
+            predicates: vec![ColPredicate {
+                offset: 0,
+                predicate: Predicate::Le(0),
+            }],
+            out_addr: PhysAddr(64 * 1024),
+        };
+        let run = d.run_row_filter(&mut m, &job, t0).unwrap();
+        let expect: Vec<u32> = (0..400u32).filter(|i| i % 3 == 0).collect();
+        assert_eq!(run.matched as usize, expect.len());
+        let mut bytes = vec![0u8; 50];
+        m.data().read(job.out_addr, &mut bytes);
+        assert_eq!(BitSet::from_bytes(&bytes, 400).to_positions(), expect);
     }
 
     #[test]

@@ -110,44 +110,44 @@ impl JafarDevice {
         }
         let mut now = start;
         let mut bursts_moved = 0u64;
-        let stream_pass =
-            |module: &mut DramModule, from: PhysAddr, to: PhysAddr, now: Tick, bursts: &mut u64| {
-                // Timing: read-stream + write-stream, overlapped; the pass
-                // rate is one word per device cycle, bounded below by the
-                // DRAM round trip for the first burst.
-                let mut t = now;
-                let total_bursts = job.rows.div_ceil(8);
-                let timing = *module.timing();
-                let cas_pipeline = timing.cl + timing.t_burst;
-                let mut issue = now;
-                for b in 0..total_bursts {
-                    let access = module
-                        .serve_addr(
-                            PhysAddr(from.0 + b * 64),
-                            false,
-                            Requester::Ndp,
-                            issue,
-                            None,
-                        )
-                        .expect("rank validated");
-                    let cas_at = access.data_ready.saturating_sub(cas_pipeline);
-                    issue = cas_at.max(issue) + timing.bus_clock.period();
-                    t = t.max(access.data_ready);
-                    t += Tick::from_ps(8 * ps_per_word);
-                    // Output burst follows one network-depth behind.
-                    module
-                        .serve_addr(PhysAddr(to.0 + b * 64), true, Requester::Ndp, t, None)
-                        .expect("rank validated");
-                    *bursts += 2;
-                }
-                t + Tick::from_ps(network_depth * ps_per_word)
-            };
+        let stream_pass = |module: &mut DramModule,
+                           from: PhysAddr,
+                           to: PhysAddr,
+                           now: Tick,
+                           bursts: &mut u64|
+         -> Result<Tick, DeviceError> {
+            // Timing: read-stream + write-stream, overlapped; the pass
+            // rate is one word per device cycle, bounded below by the
+            // DRAM round trip for the first burst.
+            let mut t = now;
+            let total_bursts = job.rows.div_ceil(8);
+            let timing = *module.timing();
+            let cas_pipeline = timing.cl + timing.t_burst;
+            let mut issue = now;
+            for b in 0..total_bursts {
+                let access = module.serve_addr(
+                    PhysAddr(from.0 + b * 64),
+                    false,
+                    Requester::Ndp,
+                    issue,
+                    None,
+                )?;
+                let cas_at = access.data_ready.saturating_sub(cas_pipeline);
+                issue = cas_at.max(issue) + timing.bus_clock.period();
+                t = t.max(access.data_ready);
+                t += Tick::from_ps(8 * ps_per_word);
+                // Output burst follows one network-depth behind.
+                module.serve_addr(PhysAddr(to.0 + b * 64), true, Requester::Ndp, t, None)?;
+                *bursts += 2;
+            }
+            Ok(t + Tick::from_ps(network_depth * ps_per_word))
+        };
 
         // Functional run generation.
         for chunk in values.chunks_mut(k as usize) {
             chunk.sort_unstable(); // the network's effect on one run
         }
-        now = stream_pass(module, job.col_addr, job.out_addr, now, &mut bursts_moved);
+        now = stream_pass(module, job.col_addr, job.out_addr, now, &mut bursts_moved)?;
         let mut passes = 1u32;
         let mut run_len = k;
         // Ping-pong merge passes.
@@ -176,7 +176,7 @@ impl JafarDevice {
             } else {
                 (job.col_addr, job.out_addr)
             };
-            now = stream_pass(module, from, to, now, &mut bursts_moved);
+            now = stream_pass(module, from, to, now, &mut bursts_moved)?;
             src_is_out = !src_is_out;
             run_len *= 2;
             passes += 1;
@@ -258,6 +258,27 @@ mod tests {
         // 3000 elements / 64-run network → runs, then ceil(log2(3000/64))
         // = 6 merge passes.
         assert_eq!(run.passes, 7);
+    }
+
+    #[test]
+    fn sort_surfaces_a_mid_stream_ecc_failure_as_an_error() {
+        use jafar_dram::{FaultInjector, FaultPlan};
+        let (mut d, mut m, t0) = setup();
+        put(&mut m, 0, &[3, 1, 2]);
+        m.set_fault_injector(Some(FaultInjector::new(FaultPlan {
+            read_flip_p: 1.0,
+            double_flip_p: 1.0,
+            ..FaultPlan::none(3)
+        })));
+        let job = SortJob {
+            col_addr: PhysAddr(0),
+            rows: 3,
+            out_addr: PhysAddr(4096),
+        };
+        assert_eq!(
+            d.run_sort(&mut m, job, t0).unwrap_err(),
+            DeviceError::Uncorrectable
+        );
     }
 
     #[test]

@@ -9,15 +9,41 @@
 
 use crate::address::PhysAddr;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+/// Hashes a page number with one Fx-style multiply. Page numbers are
+/// simulator-chosen, not attacker-chosen, so SipHash's flooding resistance
+/// buys nothing here, and the map is looked up on every 64-byte access.
+/// Nothing iterates the map, so its order cannot reach any output.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+type PageMap = HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>;
 
 /// Sparse byte-addressable storage. Unwritten bytes read as zero, like
 /// zero-initialised DRAM in a fresh simulation.
 #[derive(Default)]
 pub struct DramData {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: PageMap,
     capacity: u64,
 }
 
@@ -25,7 +51,7 @@ impl DramData {
     /// Creates storage covering `capacity` bytes of physical address space.
     pub fn new(capacity: u64) -> Self {
         DramData {
-            pages: HashMap::new(),
+            pages: PageMap::default(),
             capacity,
         }
     }
@@ -196,6 +222,43 @@ mod tests {
         let d = DramData::new(128);
         let mut buf = [0u8; 2];
         d.read(PhysAddr(127), &mut buf);
+    }
+
+    #[test]
+    fn sparse_pages_round_trip_up_to_capacity() {
+        use jafar_common::rng::SplitMix64;
+        // Scattered pages over a 1 GiB space, the last one ending exactly at
+        // capacity: every word reads back what was written last, every
+        // unwritten byte reads zero, and only touched pages are resident.
+        let capacity = 1u64 << 30;
+        let mut d = DramData::new(capacity);
+        let mut rng = SplitMix64::new(0xDA7A);
+        let last_page = capacity / PAGE_SIZE as u64 - 1;
+        let mut pages: Vec<u64> = (0..2000).map(|_| rng.next_below(last_page)).collect();
+        pages.push(last_page);
+        let mut expect = std::collections::BTreeMap::new();
+        for &page in &pages {
+            let addr = page * PAGE_SIZE as u64 + 8 * rng.next_below(PAGE_SIZE as u64 / 8);
+            let value = rng.next_u64();
+            d.write_u64(PhysAddr(addr), value);
+            expect.insert(addr, value);
+        }
+        let top = PhysAddr(capacity - 64);
+        d.write_burst(top, &[0xC3; 64]);
+        assert_eq!(d.read_burst(top), [0xC3; 64]);
+        for (&addr, &value) in &expect {
+            if addr < top.0 {
+                assert_eq!(d.read_u64(PhysAddr(addr)), value, "word at {addr:#x}");
+            }
+        }
+        let distinct: std::collections::BTreeSet<u64> = pages.iter().copied().collect();
+        assert_eq!(d.resident_pages(), distinct.len());
+        // A page never written reads as zero.
+        let untouched = (0..last_page).find(|p| !distinct.contains(p)).unwrap();
+        assert_eq!(
+            d.read_burst(PhysAddr(untouched * PAGE_SIZE as u64)),
+            [0u8; 64]
+        );
     }
 
     #[test]

@@ -476,6 +476,27 @@ impl DramModule {
         if at < earliest {
             return Err(IssueError::TooEarly(earliest));
         }
+        self.issue_legal(cmd, requester, at, write_data)
+    }
+
+    /// Issues `cmd` at `at`, which the caller has just obtained from
+    /// [`Self::earliest_issue`] with no state change in between, so the
+    /// legality check [`Self::issue`] makes would only repeat it. Every
+    /// command the module schedules itself goes through here. What can
+    /// still fail is what the command itself does: an injected ECC failure
+    /// on a read, an injected glitch on a mode-register set.
+    fn issue_legal(
+        &mut self,
+        cmd: DramCommand,
+        requester: Requester,
+        at: Tick,
+        write_data: Option<&[u8; 64]>,
+    ) -> Result<Option<ReadResult>, IssueError> {
+        debug_assert!(
+            self.earliest_issue(cmd, requester, at)
+                .is_ok_and(|earliest| at >= earliest),
+            "{cmd:?} issued at {at:?} before its earliest legal tick"
+        );
         if self.tracer.is_enabled() {
             let (name, rank, bank) = match cmd {
                 DramCommand::Activate { rank, bank, .. } => ("ACT", rank, bank),
@@ -671,7 +692,7 @@ impl DramModule {
         if needs_close {
             let pre = DramCommand::PrechargeAll { rank };
             let at = self.earliest_issue(pre, requester, cursor)?;
-            self.issue(pre, requester, at, None)?;
+            self.issue_legal(pre, requester, at, None)?;
             cursor = at;
         }
         let until = cursor + self.timing.t_rfc * n as u64;
@@ -740,7 +761,7 @@ impl DramModule {
             if needs_close {
                 let at =
                     self.earliest_issue(DramCommand::PrechargeAll { rank }, requester, cursor)?;
-                self.issue(DramCommand::PrechargeAll { rank }, requester, at, None)?;
+                self.issue_legal(DramCommand::PrechargeAll { rank }, requester, at, None)?;
                 cursor = at;
             }
             let at = match self.earliest_issue(DramCommand::Refresh { rank }, requester, cursor) {
@@ -756,7 +777,7 @@ impl DramModule {
                     return Err(e);
                 }
             };
-            self.issue(DramCommand::Refresh { rank }, requester, at, None)?;
+            self.issue_legal(DramCommand::Refresh { rank }, requester, at, None)?;
             cursor = at + self.timing.t_rfc;
         }
         Ok(cursor)
@@ -842,13 +863,13 @@ impl DramModule {
                 let at = self
                     .earliest_issue(pre, requester, cursor)
                     .expect("precharge always legal");
-                self.issue(pre, requester, at, None).expect("legal");
+                self.issue_legal(pre, requester, at, None).expect("legal");
                 cursor = at;
                 let act = DramCommand::activate(coord);
                 let at = self
                     .earliest_issue(act, requester, cursor)
                     .expect("bank now idle");
-                self.issue(act, requester, at, None).expect("legal");
+                self.issue_legal(act, requester, at, None).expect("legal");
                 cursor = at;
             }
             RowOutcome::Miss => {
@@ -856,7 +877,7 @@ impl DramModule {
                 let at = self
                     .earliest_issue(act, requester, cursor)
                     .expect("bank idle");
-                self.issue(act, requester, at, None).expect("legal");
+                self.issue_legal(act, requester, at, None).expect("legal");
                 cursor = at;
             }
         }
@@ -871,7 +892,7 @@ impl DramModule {
             let at = self
                 .earliest_issue(cmd, requester, cursor)
                 .expect("row open");
-            self.issue(cmd, requester, at, write_data)
+            self.issue_legal(cmd, requester, at, write_data)
                 .expect("legal by construction");
             let data_ready = at + self.timing.cwl + self.timing.t_burst;
             Ok(BlockAccess {
@@ -884,7 +905,7 @@ impl DramModule {
             let at = self
                 .earliest_issue(cmd, requester, cursor)
                 .expect("row open");
-            let result = match self.issue(cmd, requester, at, None) {
+            let result = match self.issue_legal(cmd, requester, at, None) {
                 Ok(r) => r.expect("read returns data"),
                 // The only fallible outcome of a read scheduled at its
                 // earliest legal tick is an injected ECC failure.
